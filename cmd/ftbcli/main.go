@@ -857,7 +857,7 @@ func cmdPropagate(args []string) error {
 	}
 	sink := &deltaSink{}
 	var ctx trace.Ctx
-	res, err := trace.RunInjectDiff(&ctx, k, g, *site, *bit, sink)
+	res, err := trace.Run(&ctx, k, g, trace.Plan{Site: *site, Bit: *bit, Sink: sink})
 	if err != nil {
 		return err
 	}
@@ -1108,13 +1108,11 @@ func cmdExp(ctx context.Context, args []string) error {
 		return err
 	}
 	defer exec.end()
-	scale := experiments.Scale{Size: *size, Trials: *trials, Seed: *seed, Context: ctx}
-	scale.Observer = exec.observer()
-	scale.Collector = exec.col
-	scale.RunOptions = append(scale.RunOptions, ftb.WithLogger(exec.logger))
-	if *exec.workers > 0 {
-		scale.RunOptions = append(scale.RunOptions, ftb.WithWorkers(*exec.workers))
-	}
+	// The campaigns take every exec flag through options; Context and
+	// Observer also reach the harness's direct campaign calls, and
+	// Collector opens the per-table telemetry sections.
+	scale := experiments.Scale{Size: *size, Trials: *trials, Seed: *seed, Context: ctx,
+		Observer: exec.observer(), RunOptions: exec.options(ctx), Collector: exec.col}
 
 	type runner struct {
 		name string

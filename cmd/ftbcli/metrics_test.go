@@ -195,3 +195,35 @@ func TestCmdExhaustivePprofFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestCmdExpHonoursExecFlags: exp takes its campaign options from the
+// shared exec flags, so -noreplay must leave the metrics snapshot with
+// zero replay restores, where the default run restores from snapshots.
+// table2 runs fresh sampling campaigns on every call (only the
+// exhaustive ground truth is memoized across calls in one process).
+func TestCmdExpHonoursExecFlags(t *testing.T) {
+	restores := func(extra ...string) int64 {
+		path := filepath.Join(t.TempDir(), "metrics.json")
+		args := append([]string{"table2", "-size", "test", "-trials", "1", "-metrics", path}, extra...)
+		capture(t, func() error { return cmdExp(context.Background(), args) })
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap ftb.MetricsSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Phases["classify"].Experiments == 0 {
+			t.Fatalf("exp %v ran no classify experiments; the check would be vacuous", extra)
+		}
+		r := snap.Replay
+		return r.Tier1Hits + r.Tier2Hits + r.PoolHits + r.PrefixMisses
+	}
+	if n := restores("-noreplay"); n != 0 {
+		t.Errorf("exp -noreplay restored %d times, want 0", n)
+	}
+	if n := restores(); n == 0 {
+		t.Error("default exp run restored nothing")
+	}
+}

@@ -46,22 +46,6 @@ func TestLowLevelRunnerFacade(t *testing.T) {
 	if sink.n != g.Sites() {
 		t.Errorf("diff observed %d sites, want %d", sink.n, g.Sites())
 	}
-
-	k2, err := NewKernel("stencil", SizeTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink2 := &countSink{}
-	dual, gOut, err := RunInjectDiffDual(&ctx, k, k2, 3, 20, sink2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dual.Crashed || len(gOut) != len(g.Output) {
-		t.Fatalf("dual run: crashed=%v out=%d", dual.Crashed, len(gOut))
-	}
-	if sink2.n != sink.n {
-		t.Errorf("dual observed %d sites, recorded path %d", sink2.n, sink.n)
-	}
 }
 
 func TestResultAccessorsAndProfiles(t *testing.T) {

@@ -248,24 +248,15 @@ func CountSites(p Program) int { return trace.CountSites(p) }
 
 // RunInject executes p once with a single bit flip at (site, bit).
 func RunInject(ctx *Ctx, p Program, site int, bit uint) InjectResult {
-	return trace.RunInject(ctx, p, site, bit)
+	res, _ := trace.Run(ctx, p, nil, trace.Plan{Site: site, Bit: bit})
+	return res
 }
 
 // RunInjectDiff executes p once with a single bit flip at (site, bit),
 // streaming every site's |golden − corrupted| deviation to sink in
 // execution order.
 func RunInjectDiff(ctx *Ctx, p Program, golden *GoldenRun, site int, bit uint, sink DiffSink) (InjectResult, error) {
-	return trace.RunInjectDiff(ctx, p, golden, site, bit, sink)
-}
-
-// RunInjectDiffDual is RunInjectDiff without a recorded golden trace: a
-// second, independent program instance runs fault-free in lockstep and
-// supplies the reference values through a bounded buffer, so memory stays
-// O(bufSites) regardless of program length (the computation-duplication
-// approach the paper's §5 proposes for large-scale applications). It
-// returns the fault-free output alongside the injection result.
-func RunInjectDiffDual(ctx *Ctx, p, goldenProg Program, site int, bit uint, sink DiffSink, bufSites int) (InjectResult, []float64, error) {
-	return trace.RunInjectDiffDual(ctx, p, goldenProg, site, bit, sink, bufSites)
+	return trace.Run(ctx, p, golden, trace.Plan{Site: site, Bit: bit, Sink: sink})
 }
 
 // runConfig is the per-campaign execution plumbing a RunOption can

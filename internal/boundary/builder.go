@@ -164,6 +164,17 @@ func (w *Worker) Observe(site int, golden, delta float64) {
 	}
 }
 
+// ObserveZeroPrefix implements trace.ZeroPrefixSink: a run resumed from
+// a golden-prefix snapshot reports its skipped prefix as zeros in one
+// call.
+func (w *Worker) ObserveZeroPrefix(n int) {
+	n = min(n, len(w.buf))
+	clear(w.buf[:n])
+	if n > w.seen {
+		w.seen = n
+	}
+}
+
 // EndRun implements campaign.PropagationSink: commit the run's deltas if
 // it was masked.
 func (w *Worker) EndRun(rec campaign.Record) {

@@ -303,31 +303,23 @@ func classify(golden *trace.GoldenRun, tol float64, pair Pair, res trace.InjectR
 }
 
 // RunPair executes a single experiment with an existing context and
-// program instance. It is the sequential building block the engine
-// drives.
+// program instance, from the program entry and without the
+// trace-mismatch check the engine workers apply.
 func RunPair(ctx *trace.Ctx, p trace.Program, golden *trace.GoldenRun, tol float64, pair Pair) Record {
-	return classify(golden, tol, pair, trace.RunInject(ctx, p, pair.Site, uint(pair.Bit)))
+	res, _ := trace.Run(ctx, p, nil, trace.Plan{Site: pair.Site, Bit: uint(pair.Bit)})
+	return classify(golden, tol, pair, res)
 }
 
-// runPairChecked is RunPair plus the trace-mismatch check engine workers
-// apply: a non-crashed run must execute exactly the golden number of
-// stores, otherwise the factory built a different (or non-data-oblivious)
-// program and the campaign must fail rather than classify garbage.
-func runPairChecked(ctx *trace.Ctx, p trace.Program, golden *trace.GoldenRun, tol float64, pair Pair) (Record, error) {
-	res := trace.RunInject(ctx, p, pair.Site, uint(pair.Bit))
-	if !res.Crashed && ctx.Sites() != golden.Sites() {
-		return Record{}, fmt.Errorf("%w: got %d, golden %d (program %q)",
-			trace.ErrTraceMismatch, ctx.Sites(), golden.Sites(), p.Name())
-	}
-	return classify(golden, tol, pair, res), nil
-}
-
-// pairWorker is the per-goroutine state of a classification campaign.
+// pairWorker is the per-goroutine state of a classification or
+// propagation campaign. At most one of tracer and sink is set: a traced
+// classification streams its deltas to the tracer, a propagation
+// campaign to its PropagationSink.
 type pairWorker struct {
 	p      trace.Program
 	ctx    trace.Ctx
 	worker int
 	tracer Tracer                      // nil when the campaign is untraced
+	sink   PropagationSink             // nil outside Propagate
 	replay *replayCache                // nil when replay is off or unsupported
 	rec    *telemetry.CampaignRecorder // nil when the campaign is uncollected
 	sp     *obs.WorkerSpans            // nil-safe when the campaign records no spans
@@ -389,17 +381,15 @@ func chargeRestore(rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans, worker 
 	rec.StoresSkipped(worker, int64(pr.resume))
 }
 
-// runChecked executes one experiment on this worker: the plain inject
-// path when untraced, or the diff-mode path bracketed by the tracer's
-// BeginRun/EndRun when a tracer is attached. Both paths apply the
-// trace-mismatch check (diff mode performs it inside RunInjectDiff), so
-// traced and untraced campaigns produce identical records and identical
-// failures. With a replay cache, the experiment resumes from the site's
-// prefix boundary snapshot instead of the program entry; records are
-// identical either way. run is the campaign-wide experiment index tagged
-// onto the trajectory.
+// runChecked executes one experiment on this worker. With a tracer or a
+// propagation sink attached, the run streams its per-site deltas there,
+// bracketed by the sink's BeginRun/EndRun. With a replay cache, the
+// experiment resumes from the site's prefix snapshot instead of the
+// program entry. Records are identical on every path, and every path
+// applies trace.Run's trace-mismatch check. run is the campaign-wide
+// experiment index tagged onto the trajectory.
 func (w *pairWorker) runChecked(cfg Config, run int, pair Pair) (Record, error) {
-	resume := 0
+	pl := trace.Plan{Site: pair.Site, Bit: uint(pair.Bit)}
 	if w.replay != nil {
 		t := w.sp.SubClock()
 		pr, err := w.replay.prepare(&w.ctx, pair.Site)
@@ -407,47 +397,46 @@ func (w *pairWorker) runChecked(cfg Config, run int, pair Pair) (Record, error) 
 		if err != nil {
 			return Record{}, err
 		}
-		resume = pr.resume
+		pl.Resume = pr.resume
 	}
-	if w.tracer == nil {
+	switch {
+	case w.sink != nil:
+		w.sink.BeginRun(pair)
+		pl.Sink = w.sink
+	case w.tracer != nil:
+		w.tracer.BeginRun(run, w.worker, pair.Site, pair.Bit)
+		pl.Sink = w.tracer
+	case w.replay != nil:
 		// Untraced runs on a pooled, state-comparable kernel may prove
 		// mid-run that they replay the golden suffix exactly and return
 		// early with the golden output — byte-identical classification,
-		// fewer executed stores. Traced runs never take this path: the
-		// tracer needs the full delta stream.
-		if w.replay != nil {
-			if first, step, ok := w.replay.convergeSchedule(pair.Site, uint(pair.Bit)); ok {
-				res, convergedAt, probes, err := trace.RunInjectConvergeFrom(
-					&w.ctx, w.p, cfg.Golden, pair.Site, uint(pair.Bit), resume, first, step,
-					w.replay.poolStateAt)
-				if err != nil {
-					return Record{}, err
-				}
-				w.replay.convergeResult(uint(pair.Bit), convergedAt, probes, res.Crashed)
-				if w.rec != nil && convergedAt >= 0 {
-					w.rec.Converge(w.worker, int64(cfg.Golden.Sites()-convergedAt))
-				}
-				return classify(cfg.Golden, cfg.Tol, pair, res), nil
-			}
+		// fewer executed stores. Diff runs never take this path: their
+		// sinks need the full delta stream.
+		if first, step, ok := w.replay.convergeSchedule(pair.Site, uint(pair.Bit)); ok {
+			pl.Converge = trace.Converge{First: first, Step: step, StateAt: w.replay.poolStateAt}
 		}
-		res := trace.RunInjectFrom(&w.ctx, w.p, pair.Site, uint(pair.Bit), resume)
-		if !res.Crashed && w.ctx.Sites() != cfg.Golden.Sites() {
-			return Record{}, fmt.Errorf("%w: got %d, golden %d (program %q)",
-				trace.ErrTraceMismatch, w.ctx.Sites(), cfg.Golden.Sites(), w.p.Name())
-		}
-		return classify(cfg.Golden, cfg.Tol, pair, res), nil
 	}
-	w.tracer.BeginRun(run, w.worker, pair.Site, pair.Bit)
-	res, err := trace.RunInjectDiffFrom(&w.ctx, w.p, cfg.Golden, pair.Site, uint(pair.Bit), w.tracer, resume)
+	res, err := trace.Run(&w.ctx, w.p, cfg.Golden, pl)
 	if err != nil {
 		return Record{}, err
 	}
-	rec := classify(cfg.Golden, cfg.Tol, pair, res)
-	crashAt := -1
-	if res.Crashed {
-		crashAt = res.CrashAt
+	if pl.Converge.StateAt != nil {
+		w.replay.convergeResult(uint(pair.Bit), res)
+		if w.rec != nil && res.ConvergedAt > 0 {
+			w.rec.Converge(w.worker, int64(cfg.Golden.Sites()-res.ConvergedAt))
+		}
 	}
-	w.tracer.EndRun(rec.Kind.String(), rec.InjErr, rec.OutErr, crashAt)
+	rec := classify(cfg.Golden, cfg.Tol, pair, res)
+	switch {
+	case w.sink != nil:
+		w.sink.EndRun(rec)
+	case w.tracer != nil:
+		crashAt := -1
+		if res.Crashed {
+			crashAt = res.CrashAt
+		}
+		w.tracer.EndRun(rec.Kind.String(), rec.InjErr, rec.OutErr, crashAt)
+	}
 	return rec, nil
 }
 
@@ -502,20 +491,15 @@ type PropagationSink interface {
 	EndRun(rec Record)
 }
 
-// propWorker is the per-goroutine state of a propagation campaign.
-type propWorker struct {
-	p    trace.Program
-	ctx  trace.Ctx
-	sink PropagationSink
-}
-
-// Propagate executes the given experiments in InjectDiff mode, streaming
-// per-site propagation deltas to per-worker sinks created by newSink. The
-// returned slice holds every sink that was actually used, so the caller
-// can merge their accumulated state. Which worker (and therefore which
-// sink) handles a given experiment depends on scheduling, but sink merges
-// are max/sum folds over the same run set, so merged results stay
-// deterministic.
+// Propagate executes the given experiments as diff runs, streaming
+// per-site propagation deltas to per-worker sinks created by newSink. It
+// runs on the same workers as classification, so Config.Replay resumes
+// each run from its site's prefix snapshot (the sink still observes the
+// full per-site stream, the prefix as zeros). The returned slice holds
+// every sink that was actually used, so the caller can merge their
+// accumulated state. Which worker (and therefore which sink) handles a
+// given experiment depends on scheduling, but sink merges are max/sum
+// folds over the same run set, so merged results stay deterministic.
 //
 // Propagate is typically applied to the masked subset of a sampled
 // campaign: Algorithm 1 consumes only masked runs' propagation data.
@@ -535,23 +519,15 @@ func Propagate(cfg Config, pairs []Pair, newSink func() PropagationSink) ([]Prop
 	cfg.Tracer = nil
 	sinks := make([]PropagationSink, cfg.Workers)
 	_, err = runEngine(cfg, "propagate", len(pairs),
-		func(w int, _ *telemetry.CampaignRecorder, _ *obs.WorkerSpans) *propWorker {
-			sink := newSink()
-			sinks[w] = sink
-			pw := &propWorker{p: cfg.Factory(), sink: sink}
-			pw.ctx.SetFaultModel(cfg.Model)
+		func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *pairWorker {
+			pw := newPairWorker(cfg, w, rec, sp)
+			pw.sink = newSink()
+			sinks[w] = pw.sink
 			return pw
 		},
-		func(w *propWorker, i int) (outcome.Kind, error) {
-			pair := pairs[i]
-			w.sink.BeginRun(pair)
-			res, err := trace.RunInjectDiff(&w.ctx, w.p, cfg.Golden, pair.Site, uint(pair.Bit), w.sink)
-			if err != nil {
-				return 0, err
-			}
-			rec := classify(cfg.Golden, cfg.Tol, pair, res)
-			w.sink.EndRun(rec)
-			return rec.Kind, nil
+		func(w *pairWorker, i int) (outcome.Kind, error) {
+			rec, err := w.runChecked(cfg, i, pairs[i])
+			return rec.Kind, err
 		}, nil)
 	if err != nil {
 		return nil, err

@@ -144,6 +144,10 @@ func (s *boundarySink) Observe(_ int, _, delta float64) {
 	}
 }
 
+// ObserveZeroPrefix implements trace.ZeroPrefixSink: the max of zeros
+// changes nothing.
+func (s *boundarySink) ObserveZeroPrefix(int) {}
+
 // calibAggregator rides a full calibration run's diff stream and records
 // the running-max deviation at every section boundary.
 type calibAggregator struct {
@@ -381,7 +385,8 @@ func ComposedExhaustive(cfg Config, opts ComposeOptions) (*GroundTruth, *Compose
 					return 0, err
 				}
 				w.agg.begin()
-				res, err := trace.RunInjectDiffFrom(&w.ctx, w.p, cfg.Golden, pair.Site, uint(pair.Bit), w.agg, resume)
+				res, err := trace.Run(&w.ctx, w.p, cfg.Golden,
+					trace.Plan{Site: pair.Site, Bit: uint(pair.Bit), Resume: resume, Sink: w.agg})
 				if err != nil {
 					return 0, err
 				}
@@ -457,12 +462,13 @@ func (w *composeWorker) runComposed(cfg Config, pair Pair, sec, until, sites int
 		return 0, err
 	}
 	w.bnd.max = 0
-	res, paused, err := trace.RunInjectDiffUntil(&w.ctx, w.p, cfg.Golden, pair.Site, uint(pair.Bit), &w.bnd, resume, until)
+	res, err := trace.Run(&w.ctx, w.p, cfg.Golden,
+		trace.Plan{Site: pair.Site, Bit: uint(pair.Bit), Resume: resume, Until: until, Sink: &w.bnd})
 	if err != nil {
 		return 0, err
 	}
 	switch {
-	case !paused && res.Crashed:
+	case !res.Paused && res.Crashed:
 		// Crash before the boundary: the truncated run is a byte-exact
 		// prefix replay of the full run.
 		w.stats.exactCrash++
@@ -470,7 +476,7 @@ func (w *composeWorker) runComposed(cfg Config, pair Pair, sec, until, sites int
 		w.stats.executed += int64(res.CrashAt + 1 - resume)
 		w.stats.baseline += int64(res.CrashAt + 1 - resume)
 		return outcome.Crash, nil
-	case !paused:
+	case !res.Paused:
 		// The section ends at the trace end: the run completed in full.
 		w.stats.exactLast++
 		w.stats.bySec[sec].exact++
@@ -516,7 +522,7 @@ func (w *composeWorker) runComposed(cfg Config, pair Pair, sec, until, sites int
 		// of declines ever rescued, while each extra pause/resume
 		// segment re-paid the cursor skip-walk.)
 		tt := w.sp.SubClock()
-		full, err := trace.RunResumeTail(&w.ctx, w.p, cfg.Golden, until)
+		full, err := trace.Run(&w.ctx, w.p, cfg.Golden, trace.Plan{Site: -1, Resume: until})
 		w.sp.Sub(obs.CatTail, tt, int64(until))
 		if err != nil {
 			return 0, err
@@ -539,11 +545,10 @@ func (w *composeWorker) runComposed(cfg Config, pair Pair, sec, until, sites int
 		return 0, err
 	}
 	ft := w.sp.SubClock()
-	full := trace.RunInjectFrom(&w.ctx, w.p, pair.Site, uint(pair.Bit), resume)
+	full, err := trace.Run(&w.ctx, w.p, cfg.Golden, trace.Plan{Site: pair.Site, Bit: uint(pair.Bit), Resume: resume})
 	w.sp.Sub(obs.CatFallback, ft, int64(pair.Site))
-	if !full.Crashed && w.ctx.Sites() != sites {
-		return 0, fmt.Errorf("%w: got %d, golden %d (program %q)",
-			trace.ErrTraceMismatch, w.ctx.Sites(), sites, w.p.Name())
+	if err != nil {
+		return 0, err
 	}
 	end := sites
 	if full.Crashed {

@@ -154,8 +154,9 @@ func (p *progress) currentFrontier() int {
 // frontier advances; an error from it, like an error from item, cancels
 // the remaining work and is returned as the campaign's first error.
 // Cancellation of cfg.Context stops workers within one item and returns
-// the context's error. The returned int is the final frontier: items
-// [0, frontier) are guaranteed complete even on error.
+// the context's error, unless every item had already completed. The
+// returned int is the final frontier: items [0, frontier) are
+// guaranteed complete even on error.
 func runEngine[S any](cfg Config, phase string, n int,
 	setup func(worker int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) S,
 	item func(s S, i int) (outcome.Kind, error),
@@ -343,7 +344,9 @@ func runEngine[S any](cfg Config, phase string, n int,
 
 	frontier := prog.currentFrontier()
 	err := firstErr
-	if err == nil {
+	if err == nil && frontier < n {
+		// A cancellation that lands after the last item completed (an
+		// Observer cancelling on the final event) discards nothing.
 		err = cfg.Context.Err()
 	}
 	logger.Debug("campaign stop",

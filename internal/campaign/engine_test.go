@@ -234,6 +234,35 @@ func TestObserverEvents(t *testing.T) {
 	}
 }
 
+// TestLateCancelKeepsCompletedCampaign: an Observer that cancels on the
+// final event lands after every item completed, so the campaign result
+// must survive it instead of collapsing into the context error.
+func TestLateCancelKeepsCompletedCampaign(t *testing.T) {
+	pairs := AllPairs(10, 4)
+	want, err := RunPairs(chainConfig(10, 1e-9, 2), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 10; rep++ {
+		cfg := chainConfig(10, 1e-9, 2)
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg.Context = ctx
+		cfg.Observer = ObserverFunc(func(e Event) {
+			if e.Done == e.Total {
+				cancel()
+			}
+		})
+		got, err := RunPairs(cfg, pairs)
+		cancel()
+		if err != nil {
+			t.Fatalf("rep %d: completed campaign returned %v", rep, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rep %d: records differ from an uncancelled run", rep)
+		}
+	}
+}
+
 // TestEngineConfigValidation covers the new knobs' bounds.
 func TestEngineConfigValidation(t *testing.T) {
 	good := chainConfig(4, 1e-9, 1)

@@ -276,26 +276,25 @@ func (rc *replayCache) convergeSchedule(site int, bit uint) (first, step int, ok
 
 // convergeResult feeds one armed run's outcome back into the adaptive
 // policy. Crashed runs are neutral evidence (they never got the chance
-// to reconverge); probe-free completions are too (the run was dirty at
-// every boundary, so arming cost only the per-store compare).
-func (rc *replayCache) convergeResult(bit uint, convergedAt, probes int, crashed bool) {
+// to reconverge).
+func (rc *replayCache) convergeResult(bit uint, res trace.InjectResult) {
 	if int(bit) >= len(rc.convFails) {
 		return
 	}
 	switch {
-	case convergedAt >= 0:
+	case res.ConvergedAt > 0:
 		rc.convFails[bit] = 0
-	case crashed:
+	case res.Crashed:
 	case rc.convFails[bit] < convFailLimit:
 		rc.convFails[bit]++
 	}
 }
 
 // prepare positions the worker's program to inject at site and returns
-// the resume offset to pass to trace.RunInjectFrom and friends, plus the
-// restore-tier accounting. On return the live state holds exactly the
-// prefix [0, resume) — restored, delta-restored, or produced by running
-// the golden prefix — so the caller can launch the injection run
+// the resume offset to pass as trace.Plan.Resume, plus the restore-tier
+// accounting. On return the live state holds exactly the prefix
+// [0, resume) — restored, delta-restored, or produced by running the
+// golden prefix — so the caller can launch the injection run
 // immediately. A zero target means the experiment runs from the program
 // entry and no snapshot is consulted.
 func (rc *replayCache) prepare(ctx *trace.Ctx, site int) (prep, error) {

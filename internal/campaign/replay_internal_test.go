@@ -78,7 +78,7 @@ func TestReplayCachePoolServesBackwardTarget(t *testing.T) {
 	if pr.resume != 30 {
 		t.Fatalf("first prepare resume = %d, want 30", pr.resume)
 	}
-	trace.RunInjectFrom(&ctx, p, 30, 3, pr.resume)
+	trace.Run(&ctx, p, nil, trace.Plan{Site: 30, Bit: 3, Resume: pr.resume})
 
 	// Backward jump: head holds prefix 30, target is 12. The pool entry
 	// at 10 (step 5) is the nearest usable base.
@@ -92,10 +92,10 @@ func TestReplayCachePoolServesBackwardTarget(t *testing.T) {
 	if pr.resume != 12 {
 		t.Fatalf("backward prepare resume = %d, want 12", pr.resume)
 	}
-	got := trace.RunInjectFrom(&ctx, p, 12, 3, pr.resume)
+	got, _ := trace.Run(&ctx, p, nil, trace.Plan{Site: 12, Bit: 3, Resume: pr.resume})
 
 	var vctx trace.Ctx
-	want := trace.RunInject(&vctx, newPoolProg(n), 12, 3)
+	want, _ := trace.Run(&vctx, newPoolProg(n), nil, trace.Plan{Site: 12, Bit: 3})
 	if got.Crashed != want.Crashed || len(got.Output) != len(want.Output) {
 		t.Fatalf("pool-restored run = %+v, want %+v", got, want)
 	}
@@ -150,9 +150,9 @@ func TestReplayCacheDropsStateOnAdvanceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := trace.RunInjectFrom(&ctx, p, 12, 5, pr.resume)
+	got, _ := trace.Run(&ctx, p, nil, trace.Plan{Site: 12, Bit: 5, Resume: pr.resume})
 	var vctx trace.Ctx
-	want := trace.RunInject(&vctx, newPoolProg(n), 12, 5)
+	want, _ := trace.Run(&vctx, newPoolProg(n), nil, trace.Plan{Site: 12, Bit: 5})
 	for i := range want.Output {
 		if got.Output[i] != want.Output[i] {
 			t.Fatalf("post-recovery output[%d] = %g, want %g", i, got.Output[i], want.Output[i])
@@ -177,5 +177,31 @@ func TestReplayCacheDropsStateOnPoolBuildError(t *testing.T) {
 	if rc.cached != -1 || rc.state != nil || len(rc.pool) != 0 {
 		t.Fatalf("cache not empty after failed pool build: cached=%d state=%v pool=%d",
 			rc.cached, rc.state != nil, len(rc.pool))
+	}
+}
+
+// TestConvergePolicyDisarmsNonConverging pins the adaptive converge
+// policy: armed runs that end without a proven reconvergence (ConvergedAt
+// 0) count against their fault coordinate until it disarms, crashes are
+// neutral, and a proven reconvergence re-arms it.
+func TestConvergePolicyDisarmsNonConverging(t *testing.T) {
+	rc := &replayCache{conv: true, every: 1, poolStep: 5, pool: make([]trace.State, 7)}
+	const site, bit = 3, 9 // not a re-probe site: 3 % convReprobeEvery != 0
+	for i := 0; i < convFailLimit; i++ {
+		if _, _, ok := rc.convergeSchedule(site, bit); !ok {
+			t.Fatalf("disarmed after %d non-converging runs", i)
+		}
+		rc.convergeResult(bit, trace.InjectResult{})
+	}
+	if _, _, ok := rc.convergeSchedule(site, bit); ok {
+		t.Fatal("still armed after non-converging runs")
+	}
+	rc.convergeResult(bit, trace.InjectResult{Crashed: true})
+	if _, _, ok := rc.convergeSchedule(site, bit); ok {
+		t.Fatal("a crash re-armed the coordinate")
+	}
+	rc.convergeResult(bit, trace.InjectResult{ConvergedAt: 5})
+	if _, _, ok := rc.convergeSchedule(site, bit); !ok {
+		t.Fatal("a proven reconvergence did not re-arm the coordinate")
 	}
 }

@@ -1,10 +1,14 @@
 package campaign_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"ftb/internal/boundary"
 	"ftb/internal/campaign"
 	"ftb/internal/kernels"
+	"ftb/internal/rng"
 	"ftb/internal/telemetry"
 	"ftb/internal/trace"
 )
@@ -122,6 +126,9 @@ func TestReplaySpacingByteIdentical(t *testing.T) {
 // requires every combination to reproduce the vanilla ground truth
 // byte for byte. Each toggle changes only where a prefix comes from or
 // when a run is allowed to stop early, never what gets classified.
+// The propagate phase holds Propagate to the same bar: a seeded
+// two-pass inference must merge into the same boundary.Builder state
+// (thresholds, information counts, reach) as without replay.
 func TestReplayFeatureTogglesByteIdentical(t *testing.T) {
 	toggles := []struct {
 		name string
@@ -144,6 +151,12 @@ func TestReplayFeatureTogglesByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sample := rng.New(7).SampleK(len(want.Kinds), len(want.Kinds)/20)
+			pairs := make([]campaign.Pair, len(sample))
+			for i, idx := range sample {
+				pairs[i] = campaign.PairAt(idx, base.Width)
+			}
+			wantB := inferState(t, base, pairs)
 			for _, tg := range toggles {
 				cfg := kernelConfig(t, name, 2)
 				tg.mut(&cfg)
@@ -157,9 +170,48 @@ func TestReplayFeatureTogglesByteIdentical(t *testing.T) {
 							tg.name, i, i/cfg.Width, i%cfg.Width, got.Kinds[i], want.Kinds[i])
 					}
 				}
+				if msg := wantB.diff(inferState(t, cfg, pairs)); msg != "" {
+					t.Fatalf("%s: propagate: %s", tg.name, msg)
+				}
 			}
 		})
 	}
+}
+
+// builderState is the merged boundary.Builder state a propagate phase
+// produces.
+type builderState struct {
+	thresholds, reach []float64
+	info              []int64
+}
+
+// inferState runs the two-pass inference (classify, then Propagate over
+// the masked subset) with the §3.5 filter on, and returns the merged
+// builder state.
+func inferState(t *testing.T, cfg campaign.Config, pairs []campaign.Pair) builderState {
+	t.Helper()
+	b, _, err := boundary.Build(cfg, pairs, boundary.BuildOptions{Filter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := append([]int64(nil), b.Info()...)
+	return builderState{thresholds: b.Finalize().Thresholds, reach: b.MeanReach(), info: info}
+}
+
+// diff describes the first bitwise difference from got, or "".
+func (w builderState) diff(got builderState) string {
+	for i := range w.thresholds {
+		if math.Float64bits(got.thresholds[i]) != math.Float64bits(w.thresholds[i]) {
+			return fmt.Sprintf("threshold[%d] = %g, want %g", i, got.thresholds[i], w.thresholds[i])
+		}
+		if got.info[i] != w.info[i] {
+			return fmt.Sprintf("info[%d] = %d, want %d", i, got.info[i], w.info[i])
+		}
+		if math.Float64bits(got.reach[i]) != math.Float64bits(w.reach[i]) {
+			return fmt.Sprintf("reach[%d] = %g, want %g", i, got.reach[i], w.reach[i])
+		}
+	}
+	return ""
 }
 
 // plainProg is a program that deliberately does NOT implement

@@ -86,7 +86,7 @@ func TestCGLateErrorDamped(t *testing.T) {
 	// matches within tolerance.
 	site := k.Phases()[2].Start // first site of iter-0
 	var ctx trace.Ctx
-	res := trace.RunInject(&ctx, k, site, 30)
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 30})
 	if res.Crashed {
 		t.Fatal("unexpected crash")
 	}
@@ -112,7 +112,7 @@ func TestCGTopExponentFlipCausesDamage(t *testing.T) {
 		t.Skip("target value ~0; exponent flip harmless")
 	}
 	var ctx trace.Ctx
-	res := trace.RunInject(&ctx, k, site, 62)
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 62})
 	if res.Crashed {
 		return // acceptable outcome
 	}
@@ -146,7 +146,7 @@ func TestCGOutputIndependentOfCtxReuse(t *testing.T) {
 	}
 	var ctx trace.Ctx
 	// A crashing run in between must not corrupt subsequent golden state.
-	trace.RunInject(&ctx, k, 0, 62)
+	trace.Run(&ctx, k, nil, trace.Plan{Site: 0, Bit: 62})
 	g2, err := trace.Golden(k)
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func TestCholeskyDiagonalCorruptionCrashes(t *testing.T) {
 	var ctx trace.Ctx
 	crashes := 0
 	for bit := uint(52); bit < 63; bit++ {
-		res := trace.RunInject(&ctx, k, 0, bit)
+		res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: 0, Bit: bit})
 		if res.Crashed {
 			crashes++
 		} else if linalg.LInfDist(res.Output, g.Output) == 0 {
@@ -98,7 +98,7 @@ func TestCholeskyCrashRatioExceedsLU(t *testing.T) {
 		crash, total := 0, 0
 		for site := 0; site < g.Sites(); site += 3 {
 			for bit := uint(50); bit < 64; bit++ {
-				res := trace.RunInject(&ctx, k, site, bit)
+				res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: bit})
 				total++
 				if res.Crashed {
 					crash++
@@ -190,7 +190,7 @@ func TestHeat3DEnergyReductionSensitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ctx trace.Ctx
-	res := trace.RunInject(&ctx, k, 3, 40) // step-0 interior store
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: 3, Bit: 40}) // step-0 interior store
 	if res.Crashed {
 		t.Fatal("unexpected crash")
 	}

@@ -80,7 +80,7 @@ func TestFFTTransposeRegionLowPropagation(t *testing.T) {
 	last := k.Phases()[len(k.Phases())-1]
 	site := last.Start + 5
 	var ctx trace.Ctx
-	res := trace.RunInject(&ctx, k, site, 40) // mid-magnitude mantissa flip
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 40}) // mid-magnitude mantissa flip
 	if res.Crashed {
 		t.Fatal("unexpected crash")
 	}
@@ -105,7 +105,7 @@ func TestFFTButterflyPropagates(t *testing.T) {
 	}
 	ph := k.Phases()[1] // fft-rows-1
 	var ctx trace.Ctx
-	res := trace.RunInject(&ctx, k, ph.Start+2, 55) // large-ish exponent-area flip
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: ph.Start + 2, Bit: 55}) // large-ish exponent-area flip
 	if res.Crashed {
 		t.Skip("flip crashed; pick of bit landed on exponent edge")
 	}

@@ -74,7 +74,7 @@ func TestGMRESBetaScaleInvariance(t *testing.T) {
 	var ctx trace.Ctx
 	masked := 0
 	for _, bit := range []uint{57, 58, 59, 60, 63} { // huge scalings + sign
-		res := trace.RunInject(&ctx, k, k.a.N, bit) // the beta store
+		res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: k.a.N, Bit: bit}) // the beta store
 		if res.Crashed {
 			continue
 		}
@@ -88,7 +88,7 @@ func TestGMRESBetaScaleInvariance(t *testing.T) {
 	// In contrast, corrupting a basis-vector component mid-Arnoldi is NOT
 	// an invariance: a large flip there must damage or crash the run.
 	site := k.a.N + 1 + 5 // a v0 component store
-	res := trace.RunInject(&ctx, k, site, 62)
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 62})
 	if !res.Crashed && linalg.LInfDist(res.Output, g.Output) <= k.Tolerance() {
 		t.Error("top-exponent flip on a basis component was masked")
 	}
@@ -166,7 +166,7 @@ func TestMultigridCoarseErrorFansOut(t *testing.T) {
 	// V-cycle bottom is near the middle of the cycle's sites).
 	site := g.Sites() / 2
 	var ctx trace.Ctx
-	res := trace.RunInject(&ctx, k, site, 51)
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 51})
 	if res.Crashed {
 		t.Skip("crashed; pick of bit landed badly")
 	}

@@ -134,7 +134,7 @@ func TestAllKernelsInjectionSafety(t *testing.T) {
 		for _, p := range k.Phases() {
 			for _, site := range []int{p.Start, p.End - 1} {
 				for _, bit := range bitsToTry {
-					res, err := trace.RunInjectDiff(&ctx, k, g, site, bit, sink)
+					res, err := trace.Run(&ctx, k, g, trace.Plan{Site: site, Bit: bit, Sink: sink})
 					if err != nil {
 						t.Fatalf("%s site %d bit %d: %v", name, site, bit, err)
 					}
@@ -168,7 +168,7 @@ func TestAllKernelsUlpFlipIsMasked(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ctx trace.Ctx
-		res := trace.RunInject(&ctx, k, g.Sites()/2, 0)
+		res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: g.Sites() / 2, Bit: 0})
 		if res.Crashed {
 			t.Errorf("%s: ulp flip crashed", name)
 			continue

@@ -87,7 +87,7 @@ func TestLUDiagonalFlipCrashesOrCorrupts(t *testing.T) {
 	}
 	// Site 0 is the first L store (division by the pivot).
 	var ctx trace.Ctx
-	res := trace.RunInject(&ctx, k, 0, 62)
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: 0, Bit: 62})
 	if res.Crashed {
 		return
 	}

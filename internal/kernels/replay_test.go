@@ -63,9 +63,9 @@ func TestAllKernelsResumeEquivalence(t *testing.T) {
 				state := snap.Snapshot()
 				for _, site := range []int{boundary, boundary + (sites-boundary)/2, sites - 1} {
 					for _, bit := range bitsToTry {
-						want := trace.RunInject(&vctx, vk, site, bit)
+						want, _ := trace.Run(&vctx, vk, nil, trace.Plan{Site: site, Bit: bit})
 						snap.Restore(state)
-						got := trace.RunInjectFrom(&rctx, rk, site, bit, boundary)
+						got, _ := trace.Run(&rctx, rk, nil, trace.Plan{Site: site, Bit: bit, Resume: boundary})
 						if got.Crashed != want.Crashed || got.CrashAt != want.CrashAt || got.Injected != want.Injected {
 							t.Fatalf("boundary %d site %d bit %d: got %+v, want %+v",
 								boundary, site, bit, got, want)
@@ -89,49 +89,5 @@ func TestAllKernelsResumeEquivalence(t *testing.T) {
 				snap.Restore(state)
 			}
 		})
-	}
-}
-
-// TestDualRunStencil32 is a regression test for the trace subcommand
-// crashing on 32-bit kernels: Store32 used to hit the invalid-mode panic
-// in the dual-run stream modes, so RunInjectDiffDual on stencil32 died
-// instead of classifying.
-func TestDualRunStencil32(t *testing.T) {
-	mk := func() trace.Program {
-		k, err := New("stencil32", SizeTest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	ref := mk()
-	g, err := trace.Golden(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ctx trace.Ctx
-	site, bit := g.Sites()/2, uint(30)
-	want, err := trace.RunInjectDiff(&ctx, ref, g, site, bit, discardSink{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gOut, err := trace.RunInjectDiffDual(&ctx, mk(), mk(), site, bit, discardSink{}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Crashed != want.Crashed || got.InjErr != want.InjErr {
-		t.Fatalf("dual result %+v, want %+v", got, want)
-	}
-	for i := range g.Output {
-		if gOut[i] != g.Output[i] {
-			t.Fatalf("dual golden output[%d] = %g, want %g", i, gOut[i], g.Output[i])
-		}
-	}
-	if !want.Crashed {
-		for i := range want.Output {
-			if got.Output[i] != want.Output[i] {
-				t.Fatalf("dual output[%d] = %g, want %g", i, got.Output[i], want.Output[i])
-			}
-		}
 	}
 }

@@ -58,7 +58,7 @@ func TestSectionInvariants(t *testing.T) {
 				}
 				var ctx trace.Ctx
 				var count countingSink
-				res, paused, err := trace.RunInjectDiffUntil(&ctx, p, golden, s.Start, 0, &count, 0, s.End)
+				res, err := trace.Run(&ctx, p, golden, trace.Plan{Site: s.Start, Until: s.End, Sink: &count})
 				if err != nil {
 					t.Fatalf("section %d (%q): %v", i, s.Name, err)
 				}
@@ -67,9 +67,9 @@ func TestSectionInvariants(t *testing.T) {
 				case res.Crashed:
 					t.Fatalf("section %d (%q): bit-0 injection at site %d crashed at %d",
 						i, s.Name, s.Start, res.CrashAt)
-				case last && paused:
+				case last && res.Paused:
 					t.Errorf("section %d (%q): run paused at the trace end instead of completing", i, s.Name)
-				case !last && !paused:
+				case !last && !res.Paused:
 					t.Errorf("section %d (%q): run never paused at boundary %d", i, s.Name, s.End)
 				case !last && count.n != s.End:
 					t.Errorf("section %d (%q): observed %d stores through boundary %d",

@@ -65,7 +65,7 @@ func TestSpMVErrorSpreads(t *testing.T) {
 	}
 	var ctx trace.Ctx
 	// Inject in the first step at a central site with a mid-mantissa flip.
-	res := trace.RunInject(&ctx, k, 27, 45)
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: 27, Bit: 45})
 	if res.Crashed {
 		t.Fatal("unexpected crash")
 	}
@@ -122,7 +122,7 @@ func TestMatMulOutputErrorEqualsInjected(t *testing.T) {
 	var ctx trace.Ctx
 	for _, site := range []int{0, 7, 24} {
 		for _, bit := range []uint{0, 20, 40, 63} {
-			res := trace.RunInject(&ctx, k, site, bit)
+			res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: bit})
 			if res.Crashed {
 				continue
 			}

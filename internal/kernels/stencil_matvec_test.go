@@ -46,8 +46,8 @@ func TestStencilErrorScalesLinearly(t *testing.T) {
 	// adjacent significance: bit b+1 injects exactly twice the error of
 	// bit b for the same stored value.
 	var ctx trace.Ctx
-	r1 := trace.RunInject(&ctx, k, site, 20)
-	r2 := trace.RunInject(&ctx, k, site, 21)
+	r1, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 20})
+	r2, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 21})
 	if r1.Crashed || r2.Crashed {
 		t.Fatal("unexpected crash")
 	}
@@ -120,8 +120,8 @@ func TestMatVecErrorScalesLinearly(t *testing.T) {
 	}
 	site := 3 // a step-0 store
 	var ctx trace.Ctx
-	r1 := trace.RunInject(&ctx, k, site, 25)
-	r2 := trace.RunInject(&ctx, k, site, 26)
+	r1, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 25})
+	r2, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 26})
 	if r1.Crashed || r2.Crashed {
 		t.Fatal("unexpected crash")
 	}
@@ -164,7 +164,7 @@ func TestMatVecLastStepFlipDirect(t *testing.T) {
 	last := k.Phases()[2]
 	site := last.Start + 4
 	var ctx trace.Ctx
-	res := trace.RunInject(&ctx, k, site, 30)
+	res, _ := trace.Run(&ctx, k, nil, trace.Plan{Site: site, Bit: 30})
 	if res.Crashed {
 		t.Fatal("unexpected crash")
 	}

@@ -65,7 +65,7 @@ func measureRecorderPair() {
 			if recording {
 				rec.BeginRun(i, 0, site, uint8(bit))
 			}
-			res, err := trace.RunInjectDiff(&ctx, k, golden, site, bit, sink)
+			res, err := trace.Run(&ctx, k, golden, trace.Plan{Site: site, Bit: bit, Sink: sink})
 			if err != nil {
 				panic(err)
 			}

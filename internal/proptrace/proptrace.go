@@ -4,7 +4,7 @@
 // artifact instead of being folded away into aggregate counters.
 //
 // A Recorder rides the per-site |golden − corrupted| stream a diff-mode
-// injection run emits (trace.RunInjectDiff and the engine's traced
+// injection run emits (trace.Run with a Sink, and the engine's traced
 // campaign runs) and condenses it into one Trajectory per injection:
 // the injection coordinates, run/worker tags, outcome, a downsampled
 // sequence of propagation-error samples, and the landmarks that matter

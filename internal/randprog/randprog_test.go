@@ -1,6 +1,7 @@
 package randprog
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -156,50 +157,95 @@ func TestPipelineInvariantsOnRandomPrograms(t *testing.T) {
 	}
 }
 
-// The dual (computation-duplication) path must agree with the recorded
-// path on random programs too, not just on hand-written ones.
-func TestDualPathAgreesOnRandomPrograms(t *testing.T) {
+// TestPlansAgreeOnRandomPrograms is the differential test of trace.Run
+// over generated programs: for every (site, bit), a diff plan must
+// classify exactly like the plain plan, and a truncated diff plan must
+// stream a prefix of the full diff stream and pause exactly at its
+// boundary (or end exactly like the full run when that crashes first).
+func TestPlansAgreeOnRandomPrograms(t *testing.T) {
+	const sites = 60
 	for seed := uint64(1); seed <= 5; seed++ {
-		mk := func() ftb.Program {
-			p, err := New(Config{Sites: 60, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}
-		g, err := trace.Golden(mk())
+		p, err := New(Config{Sites: sites, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, site := range []int{3, 30, 59} {
-			for _, bit := range []uint{0, 40, 62, 63} {
-				recSink := &collect{}
-				var ctx1 trace.Ctx
-				recRes, err := trace.RunInjectDiff(&ctx1, mk(), g, site, bit, recSink)
+		g, err := trace.Golden(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ctx trace.Ctx
+		for site := 0; site < sites; site++ {
+			for bit := uint(0); bit < 64; bit++ {
+				where := fmt.Sprintf("seed %d site %d bit %d", seed, site, bit)
+				plain, err := trace.Run(&ctx, p, g, trace.Plan{Site: site, Bit: bit})
 				if err != nil {
 					t.Fatal(err)
 				}
-				dualSink := &collect{}
-				var ctx2 trace.Ctx
-				dualRes, _, err := trace.RunInjectDiffDual(&ctx2, mk(), mk(), site, bit, dualSink, 16)
+				plainOut := append([]float64(nil), plain.Output...)
+				full := &collect{}
+				diff, err := trace.Run(&ctx, p, g, trace.Plan{Site: site, Bit: bit, Sink: full})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if recRes.Crashed != dualRes.Crashed {
-					t.Fatalf("seed %d site %d bit %d: crash mismatch", seed, site, bit)
+				if diff.Crashed != plain.Crashed || diff.CrashAt != plain.CrashAt ||
+					diff.Injected != plain.Injected || !sameBits(diff.InjErr, plain.InjErr) {
+					t.Fatalf("%s: diff %+v, plain %+v", where, diff, plain)
 				}
-				if len(recSink.deltas) != len(dualSink.deltas) {
-					t.Fatalf("seed %d site %d bit %d: delta counts differ", seed, site, bit)
+				if len(diff.Output) != len(plainOut) {
+					t.Fatalf("%s: diff output length %d, plain %d", where, len(diff.Output), len(plainOut))
 				}
-				for i := range recSink.deltas {
-					if recSink.deltas[i] != dualSink.deltas[i] {
-						t.Fatalf("seed %d site %d bit %d: delta[%d] differs", seed, site, bit, i)
+				for i := range plainOut {
+					if !sameBits(diff.Output[i], plainOut[i]) {
+						t.Fatalf("%s: output[%d] = %g, plain %g", where, i, diff.Output[i], plainOut[i])
+					}
+				}
+				stream := sites
+				if diff.Crashed {
+					stream = diff.CrashAt
+				}
+				if len(full.deltas) != stream {
+					t.Fatalf("%s: diff stream has %d sites, want %d", where, len(full.deltas), stream)
+				}
+				for _, until := range []int{site + 1, (site + sites + 1) / 2, sites} {
+					part := &collect{}
+					res, err := trace.Run(&ctx, p, g, trace.Plan{Site: site, Bit: bit, Until: until, Sink: part})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(part.deltas) > len(full.deltas) {
+						t.Fatalf("%s: until %d streamed %d sites, full run %d", where, until, len(part.deltas), len(full.deltas))
+					}
+					for i, d := range part.deltas {
+						if !sameBits(d, full.deltas[i]) {
+							t.Fatalf("%s: until %d: delta[%d] = %g, full run %g", where, until, i, d, full.deltas[i])
+						}
+					}
+					switch crashFirst := diff.Crashed && diff.CrashAt < until; {
+					case crashFirst:
+						if res.Paused || !res.Crashed || res.CrashAt != diff.CrashAt {
+							t.Fatalf("%s: until %d: %+v, want the full run's crash at %d", where, until, res, diff.CrashAt)
+						}
+					case until < sites:
+						if !res.Paused || res.Crashed || res.Output != nil || len(part.deltas) != until {
+							t.Fatalf("%s: until %d: paused=%v crashed=%v after %d sites, want a pause at %d", where,
+								until, res.Paused, res.Crashed, len(part.deltas), until)
+						}
+					default:
+						if res.Paused || res.Crashed != diff.Crashed || len(part.deltas) != len(full.deltas) {
+							t.Fatalf("%s: until %d (trace end): %+v, want the full run", where, until, res)
+						}
+					}
+					if res.Injected != diff.Injected || !sameBits(res.InjErr, diff.InjErr) {
+						t.Fatalf("%s: until %d: injection %v/%g, full run %v/%g", where, until, res.Injected, res.InjErr, diff.Injected, diff.InjErr)
 					}
 				}
 			}
 		}
 	}
 }
+
+// sameBits compares floats by bit pattern (NaN-safe, sign-exact).
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 type collect struct{ deltas []float64 }
 

@@ -88,18 +88,20 @@ func TestConvergeEarlyExitMatchesGolden(t *testing.T) {
 	// until the next i%3 == 0 damping step.
 	const site, bit = 7, 2
 	var vctx Ctx
-	want := RunInject(&vctx, newDampProg(n, true), site, bit)
+	want, _ := Run(&vctx, newDampProg(n, true), nil, Plan{Site: site, Bit: bit})
 	if want.Crashed {
 		t.Fatal("vanilla run crashed; pick a tamer coordinate")
 	}
 
 	var ctx Ctx
 	p := newDampProg(n, true)
-	res, convergedAt, probes, err := RunInjectConvergeFrom(&ctx, p, golden, site, bit, 0, 10, step, stateAt)
+	res, err := Run(&ctx, p, golden, Plan{Site: site, Bit: bit,
+		Converge: Converge{First: 10, Step: step, StateAt: stateAt}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if convergedAt < 0 {
+	convergedAt, probes := res.ConvergedAt, res.Probes
+	if convergedAt == 0 {
 		t.Fatal("damped fault did not trigger an early exit")
 	}
 	if convergedAt%step != 0 || convergedAt <= site || convergedAt >= n {
@@ -123,7 +125,7 @@ func TestConvergeEarlyExitMatchesGolden(t *testing.T) {
 
 // TestConvergeNoExitMatchesVanilla pins the fallthrough: with damping
 // off every fault persists to the end, so an armed run must complete
-// with convergedAt = -1 and a result byte-identical to RunInjectFrom —
+// with ConvergedAt = 0 and a result byte-identical to a plain run —
 // failed probes double the spacing but never change the outcome.
 func TestConvergeNoExitMatchesVanilla(t *testing.T) {
 	const n, step = 60, 5
@@ -135,15 +137,16 @@ func TestConvergeNoExitMatchesVanilla(t *testing.T) {
 
 	const site, bit = 7, 44
 	var vctx Ctx
-	want := RunInject(&vctx, newDampProg(n, false), site, bit)
+	want, _ := Run(&vctx, newDampProg(n, false), nil, Plan{Site: site, Bit: bit})
 
 	var ctx Ctx
-	res, convergedAt, _, err := RunInjectConvergeFrom(&ctx, newDampProg(n, false), golden, site, bit, 0, 10, step, stateAt)
+	res, err := Run(&ctx, newDampProg(n, false), golden, Plan{Site: site, Bit: bit,
+		Converge: Converge{First: 10, Step: step, StateAt: stateAt}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if convergedAt != -1 {
-		t.Fatalf("persistent fault reported convergence at %d", convergedAt)
+	if res.ConvergedAt != 0 {
+		t.Fatalf("persistent fault reported convergence at %d", res.ConvergedAt)
 	}
 	if res.Crashed != want.Crashed || len(res.Output) != len(want.Output) {
 		t.Fatalf("armed run = %+v, want %+v", res, want)
@@ -170,17 +173,18 @@ func TestConvergeUnpooledBoundaryResumes(t *testing.T) {
 
 	const site, bit = 7, 2
 	var vctx Ctx
-	want := RunInject(&vctx, newDampProg(n, true), site, bit)
+	want, _ := Run(&vctx, newDampProg(n, true), nil, Plan{Site: site, Bit: bit})
 
 	var ctx Ctx
-	res, convergedAt, probes, err := RunInjectConvergeFrom(&ctx, newDampProg(n, true), golden, site, bit, 0, 10, step, none)
+	res, err := Run(&ctx, newDampProg(n, true), golden, Plan{Site: site, Bit: bit,
+		Converge: Converge{First: 10, Step: step, StateAt: none}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if convergedAt != -1 {
-		t.Fatalf("convergence claimed at %d with no pooled states", convergedAt)
+	if res.ConvergedAt != 0 {
+		t.Fatalf("convergence claimed at %d with no pooled states", res.ConvergedAt)
 	}
-	if probes == 0 {
+	if res.Probes == 0 {
 		t.Error("no probes paid despite quiet boundaries")
 	}
 	for i := range want.Output {

@@ -8,23 +8,25 @@ import (
 )
 
 // TestFaultModelSticky: the installed model survives re-arming through
-// every arming method, including the replay variants.
+// every arming path, including every plan shape Run resolves.
 func TestFaultModelSticky(t *testing.T) {
 	m := bits.FaultModel{Kind: bits.FaultBurstFlip, K: 3}
 	var c Ctx
 	c.SetFaultModel(m)
+	g := &GoldenRun{Trace: make([]float64, 4)}
+	sink := &recordingSink{}
+	stateAt := func(int) (State, bool) { return nil, false }
 	arm := []func(){
 		c.Count,
 		func() { c.Record(nil) },
-		func() { c.Inject(0, 0) },
-		func() { c.InjectDiff(0, 0, nil, nil) },
-		func() { c.InjectFrom(1, 0, 1) },
-		func() { c.InjectDiffFrom(1, 0, nil, nil, 1) },
-		func() { c.InjectDiffUntil(1, 0, nil, nil, 1, 2) },
-		func() { c.ResumeTail(0) },
+		func() { c.arm(g, Plan{}) },
+		func() { c.arm(g, Plan{Sink: sink}) },
+		func() { c.arm(g, Plan{Site: 1, Resume: 1}) },
+		func() { c.arm(g, Plan{Site: 1, Resume: 1, Sink: sink}) },
+		func() { c.arm(g, Plan{Site: 1, Resume: 1, Until: 2, Sink: sink}) },
+		func() { c.arm(g, Plan{Site: -1}) },
+		func() { c.arm(g, Plan{Site: 1, Converge: Converge{First: 2, Step: 1, StateAt: stateAt}}) },
 		func() { c.armAdvance(0, 1) },
-		func() { c.armStreamSource(nil) },
-		func() { c.armStreamDiff(0, 0, nil, nil) },
 	}
 	for i, f := range arm {
 		f()
@@ -35,7 +37,7 @@ func TestFaultModelSticky(t *testing.T) {
 }
 
 // TestInjectAppliesModel64: a burst injection perturbs the store exactly as
-// the model's Apply64 says, and the resumed (replay) path agrees.
+// the model's Apply64 says, and the diff plan agrees.
 func TestInjectAppliesModel64(t *testing.T) {
 	p := &sumProg{inputs: []float64{1, 2, 3}}
 	m := bits.FaultModel{Kind: bits.FaultBurstFlip, K: 2}
@@ -49,7 +51,7 @@ func TestInjectAppliesModel64(t *testing.T) {
 
 	var c Ctx
 	c.SetFaultModel(m)
-	res := RunInject(&c, p, site, coord)
+	res, _ := Run(&c, p, nil, Plan{Site: site, Bit: coord})
 	if !res.Injected {
 		t.Fatal("injection did not fire")
 	}
@@ -63,9 +65,12 @@ func TestInjectAppliesModel64(t *testing.T) {
 		t.Fatalf("output deviation %g, want ≈ %g", d, wantErr)
 	}
 
-	res2 := RunInjectFrom(&c, p, site, coord, 0)
+	res2, err := Run(&c, p, golden, Plan{Site: site, Bit: coord, Sink: &recordingSink{}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res2.InjErr != res.InjErr || res2.Output[0] != res.Output[0] {
-		t.Fatal("RunInjectFrom disagrees with RunInject under a fault model")
+		t.Fatal("the diff plan disagrees with the plain plan under a fault model")
 	}
 }
 
@@ -83,7 +88,7 @@ func TestInjectAppliesModel32(t *testing.T) {
 
 	var c Ctx
 	c.SetFaultModel(m)
-	res := RunInject(&c, p, site, coord)
+	res, _ := Run(&c, p, nil, Plan{Site: site, Bit: coord})
 	if !res.Injected {
 		t.Fatal("injection did not fire")
 	}
@@ -98,8 +103,7 @@ func TestInjectAppliesModel32(t *testing.T) {
 			t.Fatal("out-of-population coordinate did not panic")
 		}
 	}()
-	c.Inject(site, 8)
-	p.Run(&c)
+	Run(&c, p, nil, Plan{Site: site, Bit: 8})
 }
 
 // TestStuckAtCanBeNoOp: stuck-at faults that match the existing bit leave
@@ -113,7 +117,7 @@ func TestStuckAtCanBeNoOp(t *testing.T) {
 	const site = 1 // golden value 1.0: sign bit is 0
 	var c Ctx
 	c.SetFaultModel(bits.FaultModel{Kind: bits.FaultStuckAt0, Region: bits.RegionSign})
-	res := RunInject(&c, p, site, 0)
+	res, _ := Run(&c, p, nil, Plan{Site: site, Bit: 0})
 	if !res.Injected {
 		t.Fatal("no-op stuck-at did not count as injected")
 	}

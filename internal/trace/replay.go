@@ -5,7 +5,7 @@
 // re-executing the prefix. This file holds the substrate half of that
 // optimization: the Snapshotter contract kernels opt into, the
 // advance/pause mechanism that drives a kernel to an exact store
-// boundary, and resume-armed variants of the injection runners.
+// boundary. Run resumes an injection from such a boundary (Plan.Resume).
 package trace
 
 import "fmt"
@@ -88,73 +88,6 @@ type pauseSignal struct{}
 // must skip before its first Store call. Zero for a from-scratch run.
 func (c *Ctx) ResumePos() int { return c.resume }
 
-// InjectFrom arms c like Inject, resuming from a checkpoint that holds
-// the first `resume` stores: dynamic-instruction indices start at
-// resume, so the injection site keeps its from-scratch index. The site
-// must not precede the resume offset (the flip would silently never
-// fire).
-func (c *Ctx) InjectFrom(site int, bit uint, resume int) {
-	if site < resume {
-		panic(fmt.Sprintf("trace: injection site %d precedes resume offset %d", site, resume))
-	}
-	*c = Ctx{mode: ModeInject, site: site, bit: bit, n: resume, resume: resume, model: c.model}
-}
-
-// InjectDiffFrom arms c like InjectDiff, resuming from a checkpoint
-// that holds the first `resume` stores. The caller is responsible for
-// replaying the skipped prefix's zero deltas to the sink (see
-// RunInjectDiffFrom).
-func (c *Ctx) InjectDiffFrom(site int, bit uint, golden []float64, sink DiffSink, resume int) {
-	if site < resume {
-		panic(fmt.Sprintf("trace: injection site %d precedes resume offset %d", site, resume))
-	}
-	*c = Ctx{mode: ModeInjectDiff, site: site, bit: bit, ref: golden, sink: sink, n: resume, resume: resume, model: c.model}
-}
-
-// InjectDiffUntil arms c like InjectDiffFrom but additionally truncates
-// the run at the store boundary `until`: the run commits and observes
-// stores [resume, until) and pauses inside the Store call for store
-// `until`, before that store is processed. The injection site must lie
-// inside the truncated range, so the flip always fires. A boundary at or
-// past the end of the trace never pauses — the run completes normally.
-func (c *Ctx) InjectDiffUntil(site int, bit uint, golden []float64, sink DiffSink, resume, until int) {
-	if site < resume {
-		panic(fmt.Sprintf("trace: injection site %d precedes resume offset %d", site, resume))
-	}
-	if until <= site {
-		panic(fmt.Sprintf("trace: truncation boundary %d does not cover injection site %d", until, site))
-	}
-	*c = Ctx{mode: ModeInjectDiff, site: site, bit: bit, ref: golden, sink: sink,
-		n: resume, resume: resume, pauseAt: until, model: c.model}
-}
-
-// ResumeTail arms c to finish a paused truncated injection run: the
-// program instance already holds the corrupted mid-run state with the
-// first `resume` stores committed (its own truncated run left it
-// there), and the armed run re-walks the control flow, skips those
-// committed stores, and executes the suffix with crash trapping armed
-// and no further injection (site -1 never matches a store index).
-func (c *Ctx) ResumeTail(resume int) {
-	*c = Ctx{mode: ModeInject, site: -1, n: resume, resume: resume, model: c.model}
-}
-
-// injectConvergeFrom arms c like InjectFrom with reconvergence probing:
-// the run additionally compares every committed store against the golden
-// trace, and pauses pre-commit at the first probe boundary (first, then
-// every step stores) whose preceding window saw no deviation. The first
-// boundary must lie beyond the injection site so the flip always fires
-// before any pause.
-func (c *Ctx) injectConvergeFrom(site int, bit uint, golden []float64, resume, first, step int) {
-	if site < resume {
-		panic(fmt.Sprintf("trace: injection site %d precedes resume offset %d", site, resume))
-	}
-	if first <= site || step <= 0 {
-		panic(fmt.Sprintf("trace: converge probe (first %d, step %d) does not cover injection site %d", first, step, site))
-	}
-	*c = Ctx{mode: modeInjectConverge, site: site, bit: bit, ref: golden,
-		n: resume, resume: resume, pauseAt: first, convStep: step, model: c.model}
-}
-
 // resumeConverge re-arms c to continue a converge run that paused at
 // store `from` but failed its state comparison: the instance still holds
 // the corrupted mid-run state with `from` stores committed. The flip has
@@ -183,243 +116,10 @@ func Advance(ctx *Ctx, p Program, from, to int) error {
 	if from < 0 || to < from {
 		return fmt.Errorf("trace: invalid advance range [%d, %d)", from, to)
 	}
-	paused := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(pauseSignal); !ok {
-					panic(r)
-				}
-				paused = true
-			}
-		}()
-		ctx.armAdvance(from, to)
-		p.Run(ctx)
-	}()
-	if !paused {
+	ctx.armAdvance(from, to)
+	if _, paused := ctx.exec(p); !paused {
 		return fmt.Errorf("trace: advance to store %d never paused (program %q ran %d stores)",
 			to, p.Name(), ctx.Sites())
 	}
 	return nil
-}
-
-// RunInjectFrom executes p with a single bit flip at (site, bit),
-// resuming from a restored checkpoint that holds the first `resume`
-// stores. With resume == 0 it is exactly RunInject. The run's outcome
-// (output, crash, injected error) is byte-identical to a from-scratch
-// RunInject at the same (site, bit).
-func RunInjectFrom(ctx *Ctx, p Program, site int, bit uint, resume int) (res InjectResult) {
-	ctx.InjectFrom(site, bit, resume)
-	defer func() {
-		res.InjErr = ctx.InjectedError()
-		res.Injected = ctx.Injected()
-		if r := recover(); r != nil {
-			cs, ok := r.(crashSignal)
-			if !ok {
-				panic(r)
-			}
-			res.Crashed = true
-			res.CrashAt = cs.site
-			res.Output = nil
-		}
-	}()
-	res.Output = p.Run(ctx)
-	return res
-}
-
-// RunInjectDiffUntil executes p with a single bit flip at (site, bit)
-// from a restored checkpoint holding the first `resume` stores, but runs
-// only to the store boundary `until`: the compositional campaign's
-// within-section experiment. The sink observes the deltas of stores
-// [site, until) — the skipped prefix's zero deltas are not replayed, as
-// section-local aggregation has no use for them.
-//
-// Three terminations are possible, and the first two are byte-exact
-// prefixes of the equivalent full run: the run crashes before the
-// boundary (paused=false, res.Crashed=true); the run pauses at the
-// boundary (paused=true, res.Output=nil — a crash at store `until`
-// itself belongs to the un-executed suffix and is not trapped); or
-// `until` lies at or past the end of the trace and the run completes
-// like RunInjectDiffFrom, trace-mismatch check included (paused=false).
-func RunInjectDiffUntil(ctx *Ctx, p Program, golden *GoldenRun, site int, bit uint, sink DiffSink, resume, until int) (res InjectResult, paused bool, err error) {
-	ctx.InjectDiffUntil(site, bit, golden.Trace, sink, resume, until)
-	res = func() (res InjectResult) {
-		defer func() {
-			res.InjErr = ctx.InjectedError()
-			res.Injected = ctx.Injected()
-			if r := recover(); r != nil {
-				switch s := r.(type) {
-				case crashSignal:
-					res.Crashed = true
-					res.CrashAt = s.site
-					res.Output = nil
-				case pauseSignal:
-					paused = true
-					res.Output = nil
-				default:
-					panic(r)
-				}
-			}
-		}()
-		res.Output = p.Run(ctx)
-		return res
-	}()
-	if !paused && !res.Crashed && ctx.Sites() != golden.Sites() {
-		return res, false, fmt.Errorf("%w: got %d, golden %d (program %q)",
-			ErrTraceMismatch, ctx.Sites(), golden.Sites(), p.Name())
-	}
-	return res, paused, nil
-}
-
-// RunResumeTail finishes a truncated injection run from the boundary it
-// paused at: p must be the same instance a RunInjectDiffUntil just
-// paused at store `resume`, still holding its corrupted mid-run state.
-// The truncated run is a byte-exact prefix of the full experiment, and
-// at the pause the instance's arrays and stashed unit intermediates are
-// exactly that prefix's state (the pause fires before store `resume`
-// commits — the same boundary invariant golden checkpoints rely on), so
-// executing the remaining stores completes the experiment
-// byte-identically to a full re-run, at suffix cost. The kernel must
-// support cursor-guided resume (in-tree, the Snapshotter kernels). The
-// returned InjErr/Injected describe only the tail, where no flip ever
-// fires; the caller carries the truncated run's values forward.
-func RunResumeTail(ctx *Ctx, p Program, golden *GoldenRun, resume int) (InjectResult, error) {
-	ctx.ResumeTail(resume)
-	res := func() (res InjectResult) {
-		defer func() {
-			if r := recover(); r != nil {
-				cs, ok := r.(crashSignal)
-				if !ok {
-					panic(r)
-				}
-				res.Crashed = true
-				res.CrashAt = cs.site
-				res.Output = nil
-			}
-		}()
-		res.Output = p.Run(ctx)
-		return res
-	}()
-	if !res.Crashed && ctx.Sites() != golden.Sites() {
-		return res, fmt.Errorf("%w: got %d, golden %d (program %q)",
-			ErrTraceMismatch, ctx.Sites(), golden.Sites(), p.Name())
-	}
-	return res, nil
-}
-
-// RunInjectConvergeFrom executes p like RunInjectFrom and additionally
-// proves, when it can, that the run's suffix replays the golden run
-// exactly — cutting the experiment short with a byte-identical result.
-//
-// The mechanism: the run tracks whether any committed store deviated
-// from the golden trace since the last probe boundary (boundaries start
-// at `first` and advance by `step`, both multiples of the caller's
-// pooled-snapshot spacing). At a quiet boundary k the run pauses
-// pre-commit — the live state then holds exactly the stores [0, k) — and
-// the runner compares it against the pooled golden state for prefix k
-// via StateComparer. Bit-identical state implies, by determinism of the
-// kernel's fixed control flow, that the remaining stores and the output
-// are byte-identical to the golden run: the runner returns immediately
-// with Output = golden.Output and convergedAt = k, skipping the suffix.
-// A failed comparison (a deviated slot that merely went quiet) resumes
-// the run from k with the probe spacing doubled, so pathological
-// quiet-but-diverged runs pay at most O(log(n/step)) probe walks.
-//
-// p must implement StateComparer; stateAt returns the pooled golden
-// state for an exact prefix length, or false when that boundary is not
-// pooled (the probe is then treated as failed). convergedAt is -1 when
-// the run completed (or crashed) without a proven reconvergence; the
-// result is then exactly RunInjectFrom's, trace-mismatch check included.
-// probes counts the quiet-boundary pauses the run paid (each one costs a
-// pause/resume cursor walk plus a state comparison) — callers use it to
-// stop arming converge mode for fault coordinates that never pay off.
-func RunInjectConvergeFrom(ctx *Ctx, p Program, golden *GoldenRun, site int, bit uint, resume, first, step int, stateAt func(int) (State, bool)) (res InjectResult, convergedAt, probes int, err error) {
-	cmp, ok := p.(StateComparer)
-	if !ok {
-		panic(fmt.Sprintf("trace: program %q armed for converge without StateComparer", p.Name()))
-	}
-	ctx.injectConvergeFrom(site, bit, golden.Trace, resume, first, step)
-	for {
-		paused := false
-		res = func() (res InjectResult) {
-			defer func() {
-				res.InjErr = ctx.InjectedError()
-				res.Injected = ctx.Injected()
-				if r := recover(); r != nil {
-					switch s := r.(type) {
-					case crashSignal:
-						res.Crashed = true
-						res.CrashAt = s.site
-						res.Output = nil
-					case pauseSignal:
-						paused = true
-						res.Output = nil
-					default:
-						panic(r)
-					}
-				}
-			}()
-			res.Output = p.Run(ctx)
-			return res
-		}()
-		if !paused {
-			if !res.Crashed && ctx.Sites() != golden.Sites() {
-				return res, -1, probes, fmt.Errorf("%w: got %d, golden %d (program %q)",
-					ErrTraceMismatch, ctx.Sites(), golden.Sites(), p.Name())
-			}
-			return res, -1, probes, nil
-		}
-		// Paused pre-commit at the probe boundary: the live state holds
-		// exactly [0, pauseAt). (Sites() is pauseAt+1 here — the counter
-		// advances before the pause fires — so it must not be used.)
-		k := ctx.pauseAt
-		probes++
-		if st, ok := stateAt(k); ok && cmp.StateEqual(st) {
-			res.Output = golden.Output
-			return res, k, probes, nil
-		}
-		step *= 2
-		ctx.resumeConverge(k, step)
-	}
-}
-
-// RunInjectDiffFrom executes p like RunInjectDiff, resuming from a
-// restored checkpoint that holds the first `resume` stores. The skipped
-// prefix is byte-identical to the golden run, so its deltas are zero by
-// construction; they are replayed to the sink before the run starts —
-// in one ObserveZeroPrefix call when the sink supports it — so the sink
-// observes the same per-site stream as a from-scratch run.
-func RunInjectDiffFrom(ctx *Ctx, p Program, golden *GoldenRun, site int, bit uint, sink DiffSink, resume int) (InjectResult, error) {
-	if n := min(resume, len(golden.Trace)); n > 0 {
-		if zp, ok := sink.(ZeroPrefixSink); ok {
-			zp.ObserveZeroPrefix(n)
-		} else {
-			for i := 0; i < n; i++ {
-				sink.Observe(i, golden.Trace[i], 0)
-			}
-		}
-	}
-	ctx.InjectDiffFrom(site, bit, golden.Trace, sink, resume)
-	res := func() (res InjectResult) {
-		defer func() {
-			res.InjErr = ctx.InjectedError()
-			res.Injected = ctx.Injected()
-			if r := recover(); r != nil {
-				cs, ok := r.(crashSignal)
-				if !ok {
-					panic(r)
-				}
-				res.Crashed = true
-				res.CrashAt = cs.site
-				res.Output = nil
-			}
-		}()
-		res.Output = p.Run(ctx)
-		return res
-	}()
-	if !res.Crashed && ctx.Sites() != golden.Sites() {
-		return res, fmt.Errorf("%w: got %d, golden %d (program %q)",
-			ErrTraceMismatch, ctx.Sites(), golden.Sites(), p.Name())
-	}
-	return res, nil
 }

@@ -101,11 +101,11 @@ func TestAdvanceRejectsInvalidRange(t *testing.T) {
 func TestInjectFromRejectsSiteBeforeResume(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("InjectFrom with site < resume did not panic")
+			t.Fatal("a plan with site < resume did not panic")
 		}
 	}()
 	var ctx Ctx
-	ctx.InjectFrom(2, 0, 5)
+	Run(&ctx, newChainProg(10), nil, Plan{Site: 2, Resume: 5})
 }
 
 // TestRunInjectFromMatchesVanilla is the substrate half of the
@@ -134,9 +134,9 @@ func TestRunInjectFromMatchesVanilla(t *testing.T) {
 	var vctx Ctx
 	for site := boundary; site < n; site++ {
 		for _, bit := range []uint{0, 31, 52, 62, 63} {
-			want := RunInject(&vctx, vp, site, bit)
+			want, _ := Run(&vctx, vp, nil, Plan{Site: site, Bit: bit})
 			rp.Restore(state)
-			got := RunInjectFrom(&rctx, rp, site, bit, boundary)
+			got, _ := Run(&rctx, rp, nil, Plan{Site: site, Bit: bit, Resume: boundary})
 			if got.Crashed != want.Crashed || got.CrashAt != want.CrashAt ||
 				got.Injected != want.Injected ||
 				(got.InjErr != want.InjErr && !(math.IsNaN(got.InjErr) && math.IsNaN(want.InjErr))) {
@@ -178,13 +178,13 @@ func TestRunInjectDiffFromReplaysPrefixZeros(t *testing.T) {
 	var vctx Ctx
 	for _, site := range []int{boundary, n - 1} {
 		vsink := &recordingSink{}
-		want, err := RunInjectDiff(&vctx, vp, g, site, 63, vsink)
+		want, err := Run(&vctx, vp, g, Plan{Site: site, Bit: 63, Sink: vsink})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rp.Restore(state)
 		rsink := &recordingSink{}
-		got, err := RunInjectDiffFrom(&rctx, rp, g, site, 63, rsink, boundary)
+		got, err := Run(&rctx, rp, g, Plan{Site: site, Bit: 63, Resume: boundary, Sink: rsink})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,8 +209,7 @@ func TestRunInjectDiffFromReplaysPrefixZeros(t *testing.T) {
 	}
 }
 
-// sum32Prog is a minimal single-precision program for the Store32
-// stream-mode regression test.
+// sum32Prog is a minimal single-precision program.
 type sum32Prog struct {
 	inputs []float32
 }
@@ -226,38 +225,35 @@ func (p *sum32Prog) Run(ctx *Ctx) []float64 {
 	return []float64{float64(s)}
 }
 
-// TestDualRun32BitProgram is a regression test: Store32 used to fall
-// through to the invalid-mode panic in the dual-run stream modes, so
-// RunInjectDiffDual crashed on any 32-bit program.
-func TestDualRun32BitProgram(t *testing.T) {
-	mk := func() *sum32Prog { return &sum32Prog{inputs: []float32{1, 2, 3, 4}} }
-	g, err := Golden(mk())
+// TestTailFinishesPausedRun: a truncated diff run paused at Until, then
+// finished by a tail plan on the same instance, must match the full run.
+func TestTailFinishesPausedRun(t *testing.T) {
+	const n, until = 12, 8
+	g, err := Golden(newChainProg(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ctx Ctx
-	refSink := &recordingSink{}
-	want, err := RunInjectDiff(&ctx, mk(), g, 2, 31, refSink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dualSink := &recordingSink{}
-	got, gOut, err := RunInjectDiffDual(&ctx, mk(), mk(), 2, 31, dualSink, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Crashed != want.Crashed || got.InjErr != want.InjErr {
-		t.Fatalf("dual result %+v, want %+v", got, want)
-	}
-	if len(gOut) != 1 || gOut[0] != g.Output[0] {
-		t.Errorf("dual golden output %v, want %v", gOut, g.Output)
-	}
-	if len(dualSink.deltas) != len(refSink.deltas) {
-		t.Fatalf("dual sink observed %d sites, want %d", len(dualSink.deltas), len(refSink.deltas))
-	}
-	for i := range refSink.deltas {
-		if dualSink.deltas[i] != refSink.deltas[i] {
-			t.Errorf("delta[%d] = %g, want %g", i, dualSink.deltas[i], refSink.deltas[i])
+	for _, bit := range []uint{0, 31, 52, 63} {
+		want, err := Run(&ctx, newChainProg(n), g, Plan{Site: 3, Bit: bit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newChainProg(n)
+		head, err := Run(&ctx, p, g, Plan{Site: 3, Bit: bit, Until: until, Sink: &recordingSink{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !head.Paused {
+			t.Fatalf("bit %d: truncated run did not pause at %d", bit, until)
+		}
+		tail, err := Run(&ctx, p, g, Plan{Site: -1, Resume: until})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tail.Injected || tail.Crashed != want.Crashed ||
+			(!want.Crashed && math.Float64bits(tail.Output[0]) != math.Float64bits(want.Output[0])) {
+			t.Fatalf("bit %d: tail %+v, full run %+v", bit, tail, want)
 		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 	"ftb/internal/bits"
 )
 
-// Mode selects what a Ctx does on each Store.
+// Mode selects what a Ctx does on each Store. Run resolves a Plan to
+// exactly one mode when it arms the context, so no Store case tests a
+// behaviour its plan did not ask for.
 type Mode uint8
 
 const (
@@ -31,41 +33,36 @@ const (
 	ModeCount Mode = iota
 	// ModeRecord appends every stored value to the golden trace.
 	ModeRecord
-	// ModeInject flips one bit at one site and otherwise runs untouched.
+	// ModeInject flips one bit at one site and otherwise runs untouched
+	// (also a tail run, which injects nothing).
 	ModeInject
-	// ModeInjectDiff injects like ModeInject and additionally reports
-	// |golden − corrupted| for every site to a DiffSink.
+	// ModeInjectDiff injects like ModeInject, reports |golden − corrupted|
+	// for every site to a DiffSink, and pauses at a truncation boundary.
 	ModeInjectDiff
-	// modeStreamSource is the golden half of a dual run: every store is
-	// forwarded into a channel (see RunInjectDiffDual).
-	modeStreamSource
-	// modeStreamDiff is the injected half of a dual run: golden reference
-	// values are read from the channel instead of a recorded trace.
-	modeStreamDiff
 	// modeAdvance re-executes the golden prefix up to a store boundary
 	// and pauses there, so a Snapshotter can checkpoint (see Advance).
 	modeAdvance
 	// modeInjectConverge injects like ModeInject and additionally tracks
 	// whether any store since the last probed boundary deviated from the
-	// golden trace, pausing at quiet boundaries so the runner can test
-	// for exact state reconvergence (see RunInjectConvergeFrom).
+	// golden trace, pausing at quiet boundaries so Run can test for exact
+	// state reconvergence (see Converge).
 	modeInjectConverge
 )
 
-// DiffSink consumes per-site propagation errors during a ModeInjectDiff
-// run. Observe is called once per dynamic instruction, in execution order,
-// with the golden value of the site and the absolute difference between
-// golden and fault-injected runs at that site.
+// DiffSink consumes per-site propagation errors during a diff run (a Plan
+// with a Sink). Observe is called once per dynamic instruction, in
+// execution order, with the golden value of the site and the absolute
+// difference between golden and fault-injected runs at that site.
 type DiffSink interface {
 	Observe(site int, golden, delta float64)
 }
 
 // ZeroPrefixSink is optionally implemented by DiffSinks that can absorb
-// a run of leading zero deltas in one call. A resumed diff run
-// (RunInjectDiffFrom) skips a golden prefix whose deltas are zero by
-// construction; sinks that implement ZeroPrefixSink receive a single
-// ObserveZeroPrefix(n) — equivalent to Observe(i, golden[i], 0) for each
-// i in [0, n) — instead of n individual calls.
+// a run of leading zero deltas in one call. A resumed diff run skips a
+// golden prefix whose deltas are zero by construction; sinks that
+// implement ZeroPrefixSink receive a single ObserveZeroPrefix(n) —
+// equivalent to Observe(i, golden[i], 0) for each i in [0, n) — instead
+// of n individual calls.
 type ZeroPrefixSink interface {
 	DiffSink
 	ObserveZeroPrefix(n int)
@@ -97,8 +94,7 @@ var ErrTraceMismatch = errors.New("trace: dynamic instruction count differs from
 
 // Ctx is a single-run execution context. A Ctx is not safe for concurrent
 // use; campaigns give each worker its own. The zero value is a ModeCount
-// context; use the Count/Record/Inject/InjectDiff methods to (re)arm it
-// before each run.
+// context; Count, Record, Run and Advance (re)arm it for each run.
 type Ctx struct {
 	mode Mode
 	n    int // next dynamic-instruction index
@@ -115,29 +111,24 @@ type Ctx struct {
 	injected bool
 	injErr   float64 // |flipped − original| at the injection site
 
-	// InjectDiff mode.
+	// Diff and converge modes: the golden trace, and the diff sink.
 	ref  []float64
 	sink DiffSink
 
-	// Dual-run (stream) modes.
-	streamOut   chan<- float64
-	streamIn    <-chan float64
-	streamShort bool // golden stream ended before this run did
-
 	// Checkpointed replay (see replay.go).
 	resume  int // stores already committed before this run started
-	pauseAt int // modeAdvance: store index to pause at, pre-commit
+	pauseAt int // store index to pause at, pre-commit (0: never, in diff mode)
 
-	// Inject-converge mode (see RunInjectConvergeFrom). pauseAt doubles
-	// as the next reconvergence-probe boundary: quiet windows pause
-	// there, dirty windows slide it forward by convStep without pausing.
+	// Inject-converge mode (see Converge). pauseAt doubles as the next
+	// reconvergence-probe boundary: quiet windows pause there, dirty
+	// windows slide it forward by convStep without pausing.
 	convStep  int  // probe-boundary spacing while the window stays dirty
 	convDirty bool // a store deviated from golden since the last boundary
 }
 
 // SetFaultModel installs the perturbation applied at injection sites. The
 // model is sticky: it survives every subsequent re-arming of c (Count,
-// Inject, InjectFrom, ...) until overwritten. The zero model is the paper's
+// Record, Run, ...) until overwritten. The zero model is the paper's
 // single-bit flip.
 func (c *Ctx) SetFaultModel(m bits.FaultModel) { c.model = m }
 
@@ -155,41 +146,11 @@ func (c *Ctx) Record(buf []float64) {
 	*c = Ctx{mode: ModeRecord, golden: buf[:0], model: c.model}
 }
 
-// Inject arms c to perturb the value stored at dynamic instruction site,
-// applying the installed fault model at coordinate bit.
-func (c *Ctx) Inject(site int, bit uint) {
-	*c = Ctx{mode: ModeInject, site: site, bit: bit, model: c.model}
-}
-
-// InjectDiff arms c to inject like Inject and stream per-site propagation
-// errors against the golden trace to sink.
-func (c *Ctx) InjectDiff(site int, bit uint, golden []float64, sink DiffSink) {
-	*c = Ctx{mode: ModeInjectDiff, site: site, bit: bit, ref: golden, sink: sink, model: c.model}
-}
-
-// armStreamSource arms c as the golden half of a dual run.
-func (c *Ctx) armStreamSource(out chan<- float64) {
-	*c = Ctx{mode: modeStreamSource, streamOut: out, model: c.model}
-}
-
-// armStreamDiff arms c as the injected half of a dual run.
-func (c *Ctx) armStreamDiff(site int, bit uint, in <-chan float64, sink DiffSink) {
-	*c = Ctx{mode: modeStreamDiff, site: site, bit: bit, streamIn: in, sink: sink, model: c.model}
-}
-
 // Sites returns the number of Store calls observed so far.
 func (c *Ctx) Sites() int { return c.n }
 
 // GoldenTrace returns the recorded golden trace (ModeRecord only).
 func (c *Ctx) GoldenTrace() []float64 { return c.golden }
-
-// Injected reports whether the armed injection actually fired (the run
-// reached the target site).
-func (c *Ctx) Injected() bool { return c.injected }
-
-// InjectedError returns |flipped − original| at the injection site, valid
-// once Injected() is true. +Inf means the flip itself produced NaN/Inf.
-func (c *Ctx) InjectedError() float64 { return c.injErr }
 
 // Store is the instrumentation point: every tracked floating-point
 // data-element write in a kernel is written as v = ctx.Store(v). It
@@ -217,7 +178,7 @@ func (c *Ctx) Store(v float64) float64 {
 		}
 		return v
 	case ModeInjectDiff:
-		// A truncation boundary (InjectDiffUntil) pauses before this
+		// A truncation boundary (Plan.Until) pauses before this
 		// store is processed: the run has then committed and observed
 		// exactly the stores [resume, pauseAt), and store pauseAt —
 		// including a crash it would have raised — belongs to the
@@ -242,30 +203,6 @@ func (c *Ctx) Store(v float64) float64 {
 			}
 			c.sink.Observe(i, g, d)
 		}
-		return v
-	case modeStreamSource:
-		c.streamOut <- v
-		return v
-	case modeStreamDiff:
-		if i == c.site {
-			orig := v
-			v = c.model.Apply64(v, i, c.bit)
-			c.injected = true
-			c.injErr = injectionError(orig, v)
-		}
-		if bits.IsUnsafe(v) {
-			panic(crashSignal{site: i})
-		}
-		g, ok := <-c.streamIn
-		if !ok {
-			c.streamShort = true
-			return v
-		}
-		d := v - g
-		if d < 0 {
-			d = -d
-		}
-		c.sink.Observe(i, g, d)
 		return v
 	case modeAdvance:
 		// The golden prefix is known safe: no flip, no crash trapping.
@@ -345,33 +282,6 @@ func (c *Ctx) Store32(v float32) float32 {
 			}
 			c.sink.Observe(i, g, d)
 		}
-		return v
-	case modeStreamSource:
-		c.streamOut <- float64(v)
-		return v
-	case modeStreamDiff:
-		if i == c.site {
-			if int(c.bit) >= c.model.BitsPerSite(bits.Width32) {
-				panic(fmt.Sprintf("trace: coordinate %d armed against 32-bit site %d (population %d)", c.bit, i, c.model.BitsPerSite(bits.Width32)))
-			}
-			orig := v
-			v = c.model.Apply32(v, i, c.bit)
-			c.injected = true
-			c.injErr = injectionError32(orig, v)
-		}
-		if bits.IsUnsafe32(v) {
-			panic(crashSignal{site: i})
-		}
-		g, ok := <-c.streamIn
-		if !ok {
-			c.streamShort = true
-			return v
-		}
-		d := float64(v) - g
-		if d < 0 {
-			d = -d
-		}
-		c.sink.Observe(i, g, d)
 		return v
 	case modeAdvance:
 		if i == c.pauseAt {
@@ -470,27 +380,191 @@ func Golden(p Program) (*GoldenRun, error) {
 
 // InjectResult is the outcome of a single fault-injection run.
 type InjectResult struct {
-	Output   []float64 // program output; nil if the run crashed
+	Output   []float64 // program output; nil if the run crashed or paused
 	InjErr   float64   // |flipped − original| at the injection site
 	Crashed  bool      // a tracked store produced NaN/±Inf
 	CrashAt  int       // site of the unsafe store when Crashed
 	Injected bool      // the run reached the target site
+	// Paused reports that the run stopped at its plan's Until boundary.
+	Paused bool
+	// ConvergedAt is the probe boundary at which a Converge run proved
+	// that its suffix replays the golden run (Output is then the golden
+	// output), or 0 when the run executed to its end.
+	ConvergedAt int
+	// Probes counts the quiet-boundary pauses a Converge run paid.
+	Probes int
 }
 
-// RunInject executes p with a single bit flip at (site, bit) using ctx
-// (re-armed internally). The returned output aliases kernel-owned memory
-// only until the next run on the same Program instance; callers that keep
-// it must copy.
-func RunInject(ctx *Ctx, p Program, site int, bit uint) InjectResult {
-	return RunInjectFrom(ctx, p, site, bit, 0)
+// Plan describes one injection run for Run. Plan{Site, Bit} is the
+// paper's primitive: a single fault at one dynamic instruction, run from
+// the program entry to completion.
+type Plan struct {
+	// Site and Bit are the fault coordinate: the installed fault model
+	// perturbs the value stored by dynamic instruction Site at coordinate
+	// Bit. A negative Site arms no fault: the run is the tail of an
+	// experiment that an Until run left paused at store Resume, finished
+	// on the same instance with crash trapping armed.
+	Site int
+	Bit  uint
+	// Resume is the number of stores already committed in the instance's
+	// restored state: a golden-prefix checkpoint (see Snapshotter), or
+	// the paused state a tail finishes. Site must not precede it.
+	Resume int
+	// Until, when positive, truncates a diff run at that store boundary:
+	// the run commits and observes stores [Resume, Until) and pauses
+	// inside the Store call for store Until, before that store — and any
+	// crash it would raise — is processed. It must lie beyond Site; a
+	// boundary at or past the end of the trace never pauses. Truncation
+	// requires a Sink, so the plain inject path carries no pause check.
+	Until int
+	// Sink, when non-nil, receives |golden − corrupted| for every site
+	// from 0 in execution order: a resumed run first replays the prefix
+	// [0, Resume) as zero deltas, in one ObserveZeroPrefix call when the
+	// sink implements ZeroPrefixSink. On a crash the sink has observed
+	// every site before the crashing store.
+	Sink DiffSink
+	// Converge, when its StateAt is set, arms the reconvergence early
+	// exit. It excludes Sink and Until.
+	Converge Converge
 }
 
-// RunInjectDiff executes p with a single bit flip at (site, bit), streaming
-// per-site propagation errors against golden to sink. The sink observes
-// sites in execution order; on a crash it has observed every site up to
-// (but not including) the crashing store. An ErrTraceMismatch error is
-// returned if the run's dynamic-instruction count differs from golden's
-// (only possible for a buggy, non-data-oblivious kernel).
-func RunInjectDiff(ctx *Ctx, p Program, golden *GoldenRun, site int, bit uint, sink DiffSink) (InjectResult, error) {
-	return RunInjectDiffFrom(ctx, p, golden, site, bit, sink, 0)
+// Converge arms a run to prove, when it can, that its suffix replays the
+// golden run exactly — cutting the experiment short with a byte-identical
+// result.
+//
+// The run tracks whether any committed store deviated from the golden
+// trace since the last probe boundary (boundaries start at First, which
+// must lie beyond the injection site, and advance by Step). At a quiet
+// boundary k the run pauses pre-commit — the live state then holds
+// exactly the stores [0, k) — and Run compares it against StateAt(k),
+// the golden state for prefix k, via StateComparer. Bit-identical state
+// implies, by determinism of the kernel's fixed control flow, that the
+// remaining stores and the output are byte-identical to the golden run:
+// Run returns at once with the golden output and ConvergedAt = k. A
+// failed comparison (a deviated slot that merely went quiet, or StateAt
+// reporting no state for k) resumes the run from k with the probe
+// spacing doubled, so quiet-but-diverged runs pay at most
+// O(log(n/Step)) probe walks. The program must implement StateComparer.
+type Converge struct {
+	First, Step int
+	StateAt     func(k int) (State, bool)
+}
+
+// arm resolves pl into a single Store mode and (re)arms c with it. The
+// fault model is sticky across arming.
+func (c *Ctx) arm(golden *GoldenRun, pl Plan) {
+	conv := pl.Converge.StateAt != nil
+	if pl.Site < 0 {
+		if pl.Sink != nil || pl.Until > 0 || conv {
+			panic("trace: a tail run (negative site) takes no sink, truncation or converge probe")
+		}
+		*c = Ctx{mode: ModeInject, site: -1, n: pl.Resume, resume: pl.Resume, model: c.model}
+		return
+	}
+	if pl.Site < pl.Resume {
+		panic(fmt.Sprintf("trace: injection site %d precedes resume offset %d", pl.Site, pl.Resume))
+	}
+	*c = Ctx{mode: ModeInject, site: pl.Site, bit: pl.Bit, n: pl.Resume, resume: pl.Resume, model: c.model}
+	switch {
+	case conv:
+		cv := pl.Converge
+		if pl.Sink != nil || pl.Until > 0 {
+			panic("trace: a converge run takes no sink or truncation")
+		}
+		if cv.First <= pl.Site || cv.Step <= 0 {
+			panic(fmt.Sprintf("trace: converge probe (first %d, step %d) does not cover injection site %d", cv.First, cv.Step, pl.Site))
+		}
+		c.mode, c.ref, c.pauseAt, c.convStep = modeInjectConverge, golden.Trace, cv.First, cv.Step
+	case pl.Sink != nil:
+		if pl.Until > 0 && pl.Until <= pl.Site {
+			panic(fmt.Sprintf("trace: truncation boundary %d does not cover injection site %d", pl.Until, pl.Site))
+		}
+		c.mode, c.ref, c.sink, c.pauseAt = ModeInjectDiff, golden.Trace, pl.Sink, pl.Until
+	case pl.Until > 0:
+		panic("trace: truncation (Until) requires a Sink")
+	}
+}
+
+// exec runs p on the armed context, turning the crash and pause signals
+// into the result.
+func (c *Ctx) exec(p Program) (res InjectResult, paused bool) {
+	defer func() {
+		res.InjErr = c.injErr
+		res.Injected = c.injected
+		if r := recover(); r != nil {
+			switch s := r.(type) {
+			case crashSignal:
+				res.Crashed, res.CrashAt, res.Output = true, s.site, nil
+			case pauseSignal:
+				paused, res.Output = true, nil
+			default:
+				panic(r)
+			}
+		}
+	}()
+	res.Output = p.Run(c)
+	return res, false
+}
+
+// Run executes p once under plan pl, using ctx (re-armed internally). It
+// is the single injection runner: the plain, resumed, diff, truncated,
+// converge and tail variants are all plans.
+//
+// golden is the program's fault-free run. It may be nil only for a plan
+// without Sink or Converge, and then the trace-mismatch check is
+// skipped. Otherwise a run that completes without crashing must execute
+// exactly golden's number of stores, or Run returns ErrTraceMismatch (the
+// factory built a different, or non-data-oblivious, program).
+//
+// The outcome — output, crash, injected error — of a resumed run is
+// byte-identical to a from-scratch run at the same coordinate, and a
+// truncated or crashed run is a byte-exact prefix of the full run. The
+// returned output aliases kernel-owned memory only until the next run
+// on the same Program instance; callers that keep it must copy.
+func Run(ctx *Ctx, p Program, golden *GoldenRun, pl Plan) (InjectResult, error) {
+	var cmp StateComparer
+	if pl.Converge.StateAt != nil {
+		var ok bool
+		if cmp, ok = p.(StateComparer); !ok {
+			panic(fmt.Sprintf("trace: program %q armed for converge without StateComparer", p.Name()))
+		}
+	}
+	ctx.arm(golden, pl)
+	if pl.Sink != nil && pl.Resume > 0 {
+		n := min(pl.Resume, len(golden.Trace))
+		if zp, ok := pl.Sink.(ZeroPrefixSink); ok {
+			zp.ObserveZeroPrefix(n)
+		} else {
+			for i := 0; i < n; i++ {
+				pl.Sink.Observe(i, golden.Trace[i], 0)
+			}
+		}
+	}
+	step, probes := pl.Converge.Step, 0
+	for {
+		res, paused := ctx.exec(p)
+		res.Probes = probes
+		switch {
+		case !paused:
+			if golden != nil && !res.Crashed && ctx.n != golden.Sites() {
+				return res, fmt.Errorf("%w: got %d, golden %d (program %q)",
+					ErrTraceMismatch, ctx.n, golden.Sites(), p.Name())
+			}
+			return res, nil
+		case cmp == nil:
+			res.Paused = true
+			return res, nil
+		}
+		// A converge run paused pre-commit at a quiet probe boundary: the
+		// live state holds exactly [0, pauseAt). (ctx.n is pauseAt+1 here —
+		// the counter advances before the pause fires.)
+		k := ctx.pauseAt
+		probes++
+		if st, ok := pl.Converge.StateAt(k); ok && cmp.StateEqual(st) {
+			res.Output, res.ConvergedAt, res.Probes = golden.Output, k, probes
+			return res, nil
+		}
+		step *= 2
+		ctx.resumeConverge(k, step)
+	}
 }

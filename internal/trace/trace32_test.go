@@ -44,7 +44,7 @@ func TestStore32InjectsOn32BitPattern(t *testing.T) {
 	p := &sumProg32{inputs: []float32{1, 2, 3}}
 	var ctx Ctx
 	// Sign flip of the float32 input 2 at site 2.
-	res := RunInject(&ctx, p, 2, 31)
+	res, _ := Run(&ctx, p, nil, Plan{Site: 2, Bit: 31})
 	if !res.Injected || res.Crashed {
 		t.Fatalf("res = %+v", res)
 	}
@@ -64,7 +64,7 @@ func TestStore32CrashOnUnsafeFlip(t *testing.T) {
 	}
 	p := &sumProg32{inputs: []float32{1, 2}}
 	var ctx Ctx
-	res := RunInject(&ctx, p, 0, 30)
+	res, _ := Run(&ctx, p, nil, Plan{Site: 0, Bit: 30})
 	if !res.Crashed || res.CrashAt != 0 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -81,7 +81,7 @@ func TestStore32RejectsWideBit(t *testing.T) {
 			t.Fatal("bit 32 against 32-bit site did not panic")
 		}
 	}()
-	RunInject(&ctx, p, 0, 32)
+	Run(&ctx, p, nil, Plan{Site: 0, Bit: 32})
 }
 
 func TestStore32DiffStreams(t *testing.T) {
@@ -92,7 +92,7 @@ func TestStore32DiffStreams(t *testing.T) {
 	}
 	var ctx Ctx
 	sink := &recordingSink{}
-	res, err := RunInjectDiff(&ctx, p, g, 2, 31, sink)
+	res, err := Run(&ctx, p, g, Plan{Site: 2, Bit: 31, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestInjectFlipsExactlyOneSite(t *testing.T) {
 	p := &sumProg{inputs: []float64{1, 2, 3}}
 	var ctx Ctx
 	// Flip the sign bit of the value stored at site 2 (the raw input 2).
-	res := RunInject(&ctx, p, 2, 63)
+	res, _ := Run(&ctx, p, nil, Plan{Site: 2, Bit: 63})
 	if !res.Injected {
 		t.Fatal("injection did not fire")
 	}
@@ -97,7 +97,7 @@ func TestInjectFlipsExactlyOneSite(t *testing.T) {
 func TestInjectPastEndDoesNotFire(t *testing.T) {
 	p := &sumProg{inputs: []float64{1}}
 	var ctx Ctx
-	res := RunInject(&ctx, p, 100, 0)
+	res, _ := Run(&ctx, p, nil, Plan{Site: 100, Bit: 0})
 	if res.Injected {
 		t.Error("injection fired past end of trace")
 	}
@@ -111,7 +111,7 @@ func TestInjectCrashOnUnsafeFlip(t *testing.T) {
 	// the injection site itself.
 	p := &sumProg{inputs: []float64{1, 2}}
 	var ctx Ctx
-	res := RunInject(&ctx, p, 0, 62)
+	res, _ := Run(&ctx, p, nil, Plan{Site: 0, Bit: 62})
 	if !res.Crashed {
 		t.Fatal("expected crash")
 	}
@@ -132,7 +132,7 @@ func TestInjectCrashDownstream(t *testing.T) {
 	// value is exactly +0.0; the next store computes 1/0 = +Inf and the run
 	// crashes downstream of the injection site.
 	var ctx Ctx
-	res := RunInject(&ctx, divProg{}, 0, 62)
+	res, _ := Run(&ctx, divProg{}, nil, Plan{Site: 0, Bit: 62})
 	if !res.Crashed {
 		t.Fatal("expected downstream crash")
 	}
@@ -161,7 +161,7 @@ func TestInjectDiffStreamsPropagation(t *testing.T) {
 	}
 	var ctx Ctx
 	sink := &recordingSink{}
-	res, err := RunInjectDiff(&ctx, p, g, 2, 63, sink)
+	res, err := Run(&ctx, p, g, Plan{Site: 2, Bit: 63, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestInjectDiffCrashStopsSink(t *testing.T) {
 	}
 	var ctx Ctx
 	sink := &recordingSink{}
-	res, err := RunInjectDiff(&ctx, p, g, 0, 62, sink) // unsafe at site 0
+	res, err := Run(&ctx, p, g, Plan{Site: 0, Bit: 62, Sink: sink}) // unsafe at site 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCtxReuseAcrossRuns(t *testing.T) {
 	p := &sumProg{inputs: []float64{1, 2, 3}}
 	var ctx Ctx
 	for i := 0; i < 3; i++ {
-		res := RunInject(&ctx, p, 2, 63)
+		res, _ := Run(&ctx, p, nil, Plan{Site: 2, Bit: 63})
 		if res.Output[0] != 2 {
 			t.Fatalf("run %d output %g, want 2", i, res.Output[0])
 		}
@@ -236,7 +236,7 @@ func TestForeignPanicPropagates(t *testing.T) {
 		}
 	}()
 	var ctx Ctx
-	RunInject(&ctx, panicProg{}, 0, 0)
+	Run(&ctx, panicProg{}, nil, Plan{Site: 0, Bit: 0})
 }
 
 type panicProg struct{}
@@ -268,7 +268,7 @@ func TestQuickZeroSignFlipHarmless(t *testing.T) {
 		// if none, trivially pass.
 		for i, v := range g.Trace {
 			if v == 0 {
-				res := RunInject(&ctx, p, i, 63)
+				res, _ := Run(&ctx, p, nil, Plan{Site: i, Bit: 63})
 				return !res.Crashed && res.Output[0] == g.Output[0] && res.InjErr == 0
 			}
 		}
@@ -289,7 +289,7 @@ func TestQuickInjErrMatchesBits(t *testing.T) {
 		bit := uint(bitRaw) % 64
 		p := &sumProg{inputs: []float64{v}}
 		var ctx Ctx
-		res := RunInject(&ctx, p, 0, bit)
+		res, _ := Run(&ctx, p, nil, Plan{Site: 0, Bit: bit})
 		if bits.FlipMakesUnsafe(v, bit) {
 			return res.Crashed && math.IsInf(res.InjErr, 1)
 		}
@@ -310,7 +310,7 @@ func BenchmarkStoreInject(b *testing.B) {
 	var ctx Ctx
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunInject(&ctx, p, i%1024, uint(i)&63)
+		Run(&ctx, p, nil, Plan{Site: i % 1024, Bit: uint(i) & 63})
 	}
 }
 
@@ -330,7 +330,7 @@ func BenchmarkStoreInjectDiff(b *testing.B) {
 		sink.sites = sink.sites[:0]
 		sink.golden = sink.golden[:0]
 		sink.deltas = sink.deltas[:0]
-		if _, err := RunInjectDiff(&ctx, p, g, i%1024, 3, sink); err != nil {
+		if _, err := Run(&ctx, p, g, Plan{Site: i % 1024, Bit: 3, Sink: sink}); err != nil {
 			b.Fatal(err)
 		}
 	}
