@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"ftb/internal/campaign"
 	"ftb/internal/cluster"
 )
 
@@ -81,13 +82,11 @@ func errFaultModelUnsupported(method string) error {
 }
 
 // clusterExhaustive runs the exhaustive campaign through the cluster
-// coordinator. onFrontier, when non-nil, receives the partial ground
-// truth and the absolute experiment frontier on every frontier advance
-// (the checkpoint hook). completed lists experiment ranges already
-// classified in prior that the coordinator must not re-lease (the store
-// resume path), and onShard, when non-nil, receives every merged lease
-// (the durable-merge hook).
-func (a *Analysis) clusterExhaustive(rc runConfig, prior *GroundTruth, priorSites int, completed []cluster.Range, onShard func(lo, hi int, kinds []Outcome) error, onFrontier func(*GroundTruth, int) error) (*GroundTruth, error) {
+// coordinator. completed lists experiment ranges already classified in
+// prior that the coordinator must not re-lease (the store resume path),
+// and onShard, when non-nil, receives every merged lease (the
+// durable-merge hook).
+func (a *Analysis) clusterExhaustive(rc runConfig, prior *GroundTruth, completed []campaign.Range, onShard func(lo, hi int, kinds []Outcome) error) (*GroundTruth, error) {
 	co := rc.cluster
 	if rc.traceSink != nil {
 		return nil, errors.New("ftb: WithPropTrace cannot be combined with WithCluster")
@@ -132,10 +131,8 @@ func (a *Analysis) clusterExhaustive(rc runConfig, prior *GroundTruth, priorSite
 		SpanParent:        rc.spanParent,
 		SpanSample:        rc.spanSample,
 		Prior:             prior,
-		PriorSites:        priorSites,
 		Completed:         completed,
 		OnShard:           onShard,
-		OnFrontier:        onFrontier,
 	})
 	if err != nil {
 		return nil, err

@@ -2,10 +2,7 @@ package ftb
 
 import (
 	"bytes"
-	"context"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,52 +78,6 @@ func TestWithClusterExhaustive(t *testing.T) {
 	}
 	if !bytes.Equal(clusterGTBytes(t, got), clusterGTBytes(t, want)) {
 		t.Fatal("WithCluster ground truth is not byte-identical to in-process")
-	}
-}
-
-func TestWithClusterCheckpointResume(t *testing.T) {
-	an := clusterTestAnalysis(t)
-	want, err := an.Exhaustive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	urls := clusterTestWorkers(t, "cg", SizeTest, 1)
-	path := filepath.Join(t.TempDir(), "cluster.ckpt")
-
-	// Phase 1: cancel the coordinator once a third of the space clears.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	total := an.SampleSpace()
-	obs := ObserverFunc(func(e ProgressEvent) {
-		if e.Frontier >= total/3 {
-			cancel()
-		}
-	})
-	_, err = an.ExhaustiveCheckpointed(path, 1,
-		WithCluster(ClusterOptions{Workers: urls, ShardSize: 32}),
-		WithContext(ctx), WithObserver(obs))
-	if err == nil {
-		t.Fatal("phase 1 completed despite cancellation")
-	}
-	cp, err := persist.LoadFile(path, persist.LoadCheckpoint)
-	if err != nil {
-		t.Fatalf("no readable checkpoint after cancellation: %v", err)
-	}
-	if cp.DoneSites <= 0 || cp.DoneSites >= an.Sites() {
-		t.Fatalf("checkpoint DoneSites = %d, want mid-campaign", cp.DoneSites)
-	}
-
-	// Phase 2: a fresh call resumes from the file and completes.
-	got, err := an.ExhaustiveCheckpointed(path, 1,
-		WithCluster(ClusterOptions{Workers: urls, ShardSize: 32}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(clusterGTBytes(t, got), clusterGTBytes(t, want)) {
-		t.Fatal("resumed cluster ground truth is not byte-identical to in-process")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("checkpoint file not removed after completion: %v", err)
 	}
 }
 

@@ -52,7 +52,7 @@ func main() {
 	}
 	// Ctrl-C cancels running campaigns instead of killing the process:
 	// workers drain within one batch, partial results (e.g. exhaustive
-	// checkpoints) are flushed, and the command reports what was kept. A
+	// -store appends) are flushed, and the command reports what was kept. A
 	// second Ctrl-C kills the process the usual way (stop restores the
 	// default handler).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -458,14 +458,13 @@ commands:
 
 persistence:
   exhaustive  -save FILE           save the ground truth for later analysis
-  exhaustive  -checkpoint FILE     batch-checkpoint long campaigns; resumes
-              [-batch N]           automatically if the file exists
   exhaustive  -store DIR           append outcomes durably to a ground-truth
-                                   store as the campaign runs; a killed run
-                                   (in-process or cluster coordinator) resumes
-                                   from the store, and results stay queryable
-                                   with "ftbcli query" (mutually exclusive
-                                   with -checkpoint)
+              [-batch N]           store as the campaign runs, every N sites
+                                   (default 256; -batch requires -store); a
+                                   killed run (in-process or cluster
+                                   coordinator) resumes from the store, running
+                                   only what it lacks, and results stay
+                                   queryable with "ftbcli query"
   infer       -save FILE           save the inferred boundary
 
 compositional execution (exhaustive, sectioned kernels):
@@ -494,12 +493,13 @@ cluster execution (exhaustive):
   -selfhost N                      fork N local worker processes and shard
                                    across them; combine with -cluster to mix
   -shard N                         lease granularity in experiments (default
-                                   2048); smaller shards checkpoint and
+                                   2048); smaller shards persist and
                                    rebalance finer, larger ones amortize the
                                    HTTP round trip
   a killed worker costs only its in-flight shard (the lease is re-queued);
-  with -checkpoint, a killed coordinator resumes without re-running completed
-  shards; the merged ground truth is byte-identical to a single-process run
+  with -store, every merged shard is appended, so a killed coordinator resumes
+  without re-running completed shards; the merged ground truth is
+  byte-identical to a single-process run
 
 execution (exhaustive/infer/progressive/report/exp/trace):
   -progress                        render a live campaign progress line on
@@ -530,13 +530,13 @@ execution (exhaustive/infer/progressive/report/exp/trace):
   -span-sample N                   record one experiment span per N per worker
                                    (default 64; 1 = every experiment)
   -v                               log campaign lifecycle events (start, stop,
-                                   checkpoints, trace mismatches) on stderr;
+                                   resumes, trace mismatches) on stderr;
                                    FTB_LOG=debug|info|warn|error sets the
                                    level without the flag
   Ctrl-C                           cancels the running campaign promptly; the
                                    command exits 130 with partial results kept
-                                   (exhaustive -checkpoint flushes a final
-                                   checkpoint, so rerunning resumes)
+                                   (exhaustive -store appends what finished,
+                                   so rerunning resumes)
 `)
 }
 
@@ -586,9 +586,8 @@ func cmdExhaustive(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("exhaustive", flag.ExitOnError)
 	kernel, size := kernelFlags(fs)
 	save := fs.String("save", "", "write the ground truth to this file")
-	checkpoint := fs.String("checkpoint", "", "checkpoint file: saves progress in batches and resumes if it exists")
 	storeDir := storeDirFlag(fs, "ground-truth store directory: outcomes are appended durably as the campaign runs, a prior partial campaign resumes from the store, and results stay queryable with ftbcli query")
-	batch := fs.Int("batch", 256, "sites per checkpoint batch")
+	batch := fs.Int("batch", 256, "sites per -store append (requires -store)")
 	clusterURLs := fs.String("cluster", "", "shard the campaign across these comma-separated worker URLs (see the worker command)")
 	selfhost := fs.Int("selfhost", 0, "shard the campaign across this many locally forked worker processes")
 	shard := fs.Int("shard", 0, "cluster lease granularity in experiments (default 2048)")
@@ -597,8 +596,10 @@ func cmdExhaustive(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if comp.enabled() && *checkpoint != "" {
-		return errors.New("exhaustive: -compose and -checkpoint are mutually exclusive (composed campaigns persist section summaries in the store instead)")
+	batchSet := false
+	fs.Visit(func(f *flag.Flag) { batchSet = batchSet || f.Name == "batch" })
+	if batchSet && (*storeDir == "" || comp.enabled()) {
+		return errors.New("exhaustive: -batch sets the -store append stride; it requires -store and has no effect with -compose (composed campaigns append no outcomes)")
 	}
 	an, err := ftb.NewKernelAnalysis(*kernel, *size)
 	if err != nil {
@@ -676,17 +677,11 @@ func cmdExhaustive(ctx context.Context, args []string) error {
 	}
 	start := time.Now()
 	var gt *ftb.GroundTruth
-	switch {
-	case comp.enabled():
+	if *storeDir != "" && !comp.enabled() {
+		gt, err = an.ExhaustiveCheckpointed("", *batch, runOpts...)
+	} else {
 		// Composed campaigns consult the store for summary reuse and
 		// validation but never append outcomes to it.
-		gt, err = an.Exhaustive(runOpts...)
-	case *checkpoint != "" || *storeDir != "":
-		// With -store and no -checkpoint the empty path selects the
-		// store-backed resume (the two together are rejected by the
-		// facade as mutually exclusive).
-		gt, err = an.ExhaustiveCheckpointed(*checkpoint, *batch, runOpts...)
-	default:
 		gt, err = an.Exhaustive(runOpts...)
 	}
 	if err != nil {

@@ -110,7 +110,7 @@ func emitAttribution(w io.Writer, spans []ftb.Span, jsonOut bool) error {
 
 // renderAttribution prints the wall-clock attribution table. Control
 // spans (cluster leases, store appends) overlap phase time — a lease
-// wraps a remote phase, an append runs inside a frontier hook — so they
+// wraps a remote phase, an append runs inside a range hook — so they
 // are reported as their own lines rather than added to coverage.
 func renderAttribution(w io.Writer, a ftb.SpanAttribution) {
 	name := a.Campaign

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"ftb"
+	"ftb/internal/campaign"
 	"ftb/internal/store"
 )
 
@@ -403,7 +404,7 @@ func queryDiff(st *ftb.Store, refA, refB string, jsonOut bool) error {
 
 // coverageMask expands a campaign's completed experiment ranges into a
 // per-experiment bitmap.
-func coverageMask(total int, ranges []store.Range) []bool {
+func coverageMask(total int, ranges []campaign.Range) []bool {
 	m := make([]bool, total)
 	for _, r := range ranges {
 		lo, hi := max(r.Lo, 0), min(r.Hi, total)

@@ -211,3 +211,33 @@ func TestCmdExhaustiveStoreFlag(t *testing.T) {
 		t.Errorf("rerun output:\n%s", out)
 	}
 }
+
+// TestCmdExhaustiveBatchFlag: -batch is the -store append stride, so it
+// must change how many appends a fresh store takes, and without -store
+// it has nothing to set and is rejected.
+func TestCmdExhaustiveBatchFlag(t *testing.T) {
+	appends := func(batch string) int64 {
+		path := filepath.Join(t.TempDir(), "metrics.json")
+		capture(t, func() error {
+			return cmdExhaustive(context.Background(), []string{"-kernel", "stencil", "-size", "test",
+				"-store", t.TempDir(), "-batch", batch, "-metrics", path})
+		})
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap ftb.MetricsSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Store.Appends
+	}
+	fine, coarse := appends("1"), appends("100000")
+	if coarse != 1 || fine <= coarse {
+		t.Errorf("appends: -batch 1 took %d, -batch 100000 took %d; want one final append for the coarse stride and more for the fine one", fine, coarse)
+	}
+	err := cmdExhaustive(context.Background(), []string{"-kernel", "stencil", "-size", "test", "-batch", "4"})
+	if err == nil || !strings.Contains(err.Error(), "-store") {
+		t.Errorf("-batch without -store: err = %v, want a rejection naming -store", err)
+	}
+}

@@ -105,8 +105,8 @@ func TestComposeFacadeErrors(t *testing.T) {
 	if _, err := plain.Exhaustive(WithCompose(ComposeOptions{Validate: true}), WithSections(layout)); err == nil || !strings.Contains(err.Error(), "WithStore") {
 		t.Errorf("Validate without store: err = %v", err)
 	}
-	// Composition and checkpoint files are different persistence worlds.
-	if _, err := plain.ExhaustiveCheckpointed("unused.ckpt", 2, WithCompose(ComposeOptions{}), WithSections(layout)); err == nil {
+	// Composed campaigns append no outcomes, so they have no stride.
+	if _, err := plain.ExhaustiveCheckpointed("", 2, WithCompose(ComposeOptions{}), WithSections(layout)); err == nil {
 		t.Error("WithCompose on ExhaustiveCheckpointed accepted")
 	}
 }

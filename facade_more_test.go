@@ -170,28 +170,33 @@ func TestExhaustiveCheckpointedResumeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed a partial checkpoint on disk, then let the facade resume it.
-	path := t.TempDir() + "/cp.ftb"
-	partial := &GroundTruth{
-		SitesN: want.SitesN, BitsN: want.BitsN, WidthN: want.WidthN,
-		Kinds: append([]Outcome{}, want.Kinds...),
-	}
-	// Corrupt the suffix: resume must recompute it.
-	done := want.SitesN / 2
-	for i := done * want.BitsN; i < len(partial.Kinds); i++ {
-		partial.Kinds[i] = Crash
-	}
-	if err := saveCheckpointForTest(path, partial, done); err != nil {
-		t.Fatal(err)
-	}
-	got, err := an.ExhaustiveCheckpointed(path, 7)
+	// Seed a store with the second half of the campaign, as a killed run
+	// whose early batches were still in flight would leave it, then let
+	// the facade resume: it must run exactly the missing first half.
+	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Kinds {
-		if got.Kinds[i] != want.Kinds[i] {
-			t.Fatalf("resumed kind[%d] differs", i)
-		}
+	defer st.Close()
+	c, err := an.StoreCampaign(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := (want.SitesN / 2) * want.BitsN
+	if err := c.Append(half, want.Kinds[half:]); err != nil {
+		t.Fatal(err)
+	}
+	var ran, total int
+	obs := ObserverFunc(func(e ProgressEvent) { ran, total = e.Done, e.Total })
+	got, err := an.ExhaustiveCheckpointed("", 7, WithStore(st), WithObserver(obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(clusterGTBytes(t, got), clusterGTBytes(t, want)) {
+		t.Fatal("resumed ground truth differs from the uninterrupted campaign")
+	}
+	if ran != half || total != half {
+		t.Errorf("resume ran %d of %d experiments, want the %d the store lacked", ran, total, half)
 	}
 }
 

@@ -60,7 +60,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 
 	"ftb/internal/bits"
 	"ftb/internal/boundary"
@@ -68,7 +67,6 @@ import (
 	"ftb/internal/kernels"
 	"ftb/internal/metrics"
 	"ftb/internal/outcome"
-	"ftb/internal/persist"
 	"ftb/internal/proptrace"
 	"ftb/internal/rng"
 	"ftb/internal/sampling"
@@ -426,9 +424,9 @@ func WithReplayOptions(o ReplayOptions) RunOption {
 }
 
 // WithLogger attaches a structured event log to the call's campaigns:
-// campaign start/stop, checkpoint saves and resumes, and trace-mismatch
-// aborts are emitted as slog records (Debug for lifecycle, Warn for
-// aborts). The engine never logs from the per-experiment hot path.
+// campaign start/stop, resumes, and trace-mismatch aborts are emitted
+// as slog records (Debug for lifecycle, Warn for aborts). The engine
+// never logs from the per-experiment hot path.
 func WithLogger(l *slog.Logger) RunOption {
 	return func(rc *runConfig) { rc.logger = l }
 }
@@ -474,7 +472,7 @@ func ParseFaultModel(s string) (FaultModel, error) { return bits.ParseFaultModel
 // stuck-at faults. The experiment space becomes sites × the model's
 // population (FaultModel.BitsPerSite); a non-default model supersedes
 // Options.Bits, which applies to the default model only. Campaigns under
-// distinct fault models are stored and checkpointed under distinct
+// distinct fault models are stored and resumed under distinct
 // identities. Only classification campaigns (Exhaustive,
 // ExhaustiveCheckpointed, RunPairs) accept a non-default model;
 // inference methods return an error, because the propagation thresholds
@@ -704,101 +702,50 @@ func (a *Analysis) configFrom(rc runConfig) campaign.Config {
 // dynamic instruction. Cost: SampleSpace() program executions. With
 // WithCluster, the campaign is sharded across worker processes instead
 // of goroutines; the result is byte-identical either way. With
-// WithCompose, each experiment executes only within its own declared
-// section and the rest of the outcome is predicted compositionally (see
-// the package documentation); composed results are returned directly
-// and never appended to an attached store.
+// WithStore, the campaign is durable and resumable: it runs only the
+// experiments the store lacks and appends completed ones every 256
+// sites (see ExhaustiveCheckpointed). With WithCompose, each experiment
+// executes only within its own declared section and the rest of the
+// outcome is predicted compositionally (see the package documentation);
+// composed results are returned directly and never appended to an
+// attached store.
 func (a *Analysis) Exhaustive(opts ...RunOption) (*GroundTruth, error) {
 	rc := a.resolve(opts)
 	endSpan := a.startCampaignSpan(&rc)
 	defer endSpan()
-	if rc.compose != nil {
+	switch {
+	case rc.compose != nil:
 		if !rc.model.IsDefault() {
 			return nil, errFaultModelUnsupported("WithCompose")
 		}
 		return a.composedExhaustive(rc)
+	case rc.store != nil:
+		return a.storeExhaustive(rc, storeBatch)
+	case rc.cluster != nil:
+		return a.clusterExhaustive(rc, nil, nil, nil)
 	}
-	var gt *GroundTruth
-	var err error
-	if rc.cluster != nil {
-		gt, err = a.clusterExhaustive(rc, nil, 0, nil, nil, nil)
-	} else {
-		gt, err = campaign.Exhaustive(a.configFrom(rc))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if rc.store != nil {
-		// With a store attached the campaign's result is also the durable
-		// record: append it and hand back the store-materialized copy, so
-		// the caller's ground truth is exactly what later queries serve.
-		return a.storeFinalize(rc, gt)
-	}
-	return gt, nil
+	return campaign.Exhaustive(a.configFrom(rc))
 }
 
-// ExhaustiveCheckpointed runs the full campaign with progress persisted
-// to checkpointPath every batch sites, resuming automatically if the file
-// already holds a matching partial campaign. The checkpoint file is
-// removed on successful completion; if only that cleanup fails, the
-// completed ground truth is returned alongside the error.
-//
-// With WithStore, checkpointPath must be empty: progress persists as
-// durable appends to the store's campaign log instead of a monolithic
-// checkpoint file, and resume state is read back from the store manifest.
+// ExhaustiveCheckpointed is Exhaustive(WithStore) with a chosen append
+// stride: completed outcomes are appended to the store attached with
+// WithStore whenever batch sites' worth have accumulated (256 when
+// batch < 1), and once more when the campaign stops, cancelled or not.
+// Resume state is the set of experiment ranges the store holds, so a
+// killed run loses at most the unappended stride. Under WithCluster
+// every merged shard is appended as it lands instead. checkpointPath
+// must be empty: progress persists only through WithStore.
 func (a *Analysis) ExhaustiveCheckpointed(checkpointPath string, batch int, opts ...RunOption) (*GroundTruth, error) {
 	rc := a.resolve(opts)
 	if rc.compose != nil {
 		return nil, errors.New("ftb: WithCompose applies to Exhaustive only; composed campaigns persist section summaries, not checkpoints")
 	}
+	if checkpointPath != "" || rc.store == nil {
+		return nil, errors.New("ftb: ExhaustiveCheckpointed persists progress through WithStore only; pass an empty checkpointPath and a WithStore option")
+	}
 	endSpan := a.startCampaignSpan(&rc)
 	defer endSpan()
-	if rc.store != nil {
-		return a.storeCheckpointed(rc, checkpointPath, batch)
-	}
-	var prior *GroundTruth
-	priorSites := 0
-	if cp, err := persist.LoadFile(checkpointPath, persist.LoadCheckpoint); err == nil {
-		prior, priorSites = cp.GT, cp.DoneSites
-	} else if !os.IsNotExist(err) && !errors.Is(err, os.ErrNotExist) {
-		// A present-but-unreadable checkpoint is surfaced rather than
-		// silently recomputed over.
-		if _, statErr := os.Stat(checkpointPath); statErr == nil {
-			return nil, fmt.Errorf("ftb: unreadable checkpoint %s: %w", checkpointPath, err)
-		}
-	}
-	saveCheckpoint := func(partial *GroundTruth, done int) error {
-		return persist.SaveFile(checkpointPath, persist.Checkpoint{GT: partial, DoneSites: done}, persist.SaveCheckpoint)
-	}
-	var gt *GroundTruth
-	var err error
-	if rc.cluster != nil {
-		// Cluster campaigns checkpoint at shard granularity: the
-		// coordinator's contiguous-completion frontier is persisted every
-		// time it clears another site, so a killed coordinator resumes
-		// without re-running any completed shard.
-		lastSaved := priorSites
-		bitsN := a.bitsFor(rc)
-		gt, err = a.clusterExhaustive(rc, prior, priorSites, nil, nil, func(partial *GroundTruth, frontier int) error {
-			done := frontier / bitsN
-			if done <= lastSaved {
-				return nil
-			}
-			lastSaved = done
-			return saveCheckpoint(partial, done)
-		})
-	} else {
-		gt, err = campaign.ExhaustiveCheckpointed(a.configFrom(rc), prior, priorSites, batch, saveCheckpoint)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := os.Remove(checkpointPath); err != nil && !os.IsNotExist(err) {
-		// The campaign itself succeeded: hand the completed ground truth
-		// back with the cleanup error instead of forfeiting it.
-		return gt, fmt.Errorf("ftb: campaign done but checkpoint cleanup failed: %w", err)
-	}
-	return gt, nil
+	return a.storeExhaustive(rc, batch)
 }
 
 // ExhaustiveBoundary derives the exact fault tolerance boundary from an

@@ -1,7 +1,8 @@
 package ftb
 
 import (
-	"os"
+	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -258,19 +259,31 @@ func TestExhaustiveCheckpointedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/cp.ftb"
-	got, err := an.ExhaustiveCheckpointed(path, 5)
+	// Progress persists through a store only: a checkpoint path, or no
+	// store at all, is an error that names the option to use.
+	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Kinds {
-		if got.Kinds[i] != want.Kinds[i] {
-			t.Fatalf("kind[%d] differs", i)
+	defer st.Close()
+	for _, c := range []struct {
+		path string
+		opts []RunOption
+	}{
+		{t.TempDir() + "/cp.ftb", nil},
+		{t.TempDir() + "/cp.ftb", []RunOption{WithStore(st)}},
+		{"", nil},
+	} {
+		if _, err := an.ExhaustiveCheckpointed(c.path, 5, c.opts...); err == nil || !strings.Contains(err.Error(), "WithStore") {
+			t.Errorf("path %q with %d options: err = %v, want a WithStore requirement", c.path, len(c.opts), err)
 		}
 	}
-	// Checkpoint file cleaned up after completion.
-	if _, err := os.Stat(path); err == nil {
-		t.Error("checkpoint file left behind")
+	got, err := an.ExhaustiveCheckpointed("", 5, WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(clusterGTBytes(t, got), clusterGTBytes(t, want)) {
+		t.Fatal("store-backed ground truth differs from the in-memory campaign")
 	}
 }
 

@@ -124,7 +124,7 @@ type Config struct {
 	Collector *telemetry.Collector
 	// Tracer, when non-nil, is called once per engine worker to build
 	// that worker's propagation tracer, and switches classification
-	// campaigns (RunPairs, Exhaustive, ExhaustiveCheckpointed) into diff
+	// campaigns (RunPairs, Exhaustive, ExhaustiveResume) into diff
 	// mode: every experiment streams its per-site |golden − corrupted|
 	// deltas to the worker's tracer between a BeginRun/EndRun pair, so
 	// trajectories can be recorded without a second campaign. Records and
@@ -171,10 +171,10 @@ type Config struct {
 	// enables it; negative disables. Requires the pool.
 	ReplayConverge int
 	// Logger, when non-nil, receives the engine's structured event log:
-	// campaign start/stop, checkpoint saves and resumes, and trace-
-	// mismatch aborts, at conventional slog levels (Debug for lifecycle,
-	// Warn for aborts). Nil discards events; the engine never logs from
-	// the per-experiment hot path.
+	// campaign start/stop, resumes, and trace-mismatch aborts, at
+	// conventional slog levels (Debug for lifecycle, Warn for aborts).
+	// Nil discards events; the engine never logs from the
+	// per-experiment hot path.
 	Logger *slog.Logger
 	// Spans, when non-nil, records the campaign's hierarchical execution
 	// spans: one phase span, chained queue-wait/batch spans per worker,
@@ -462,7 +462,7 @@ func RunPairsInPhase(cfg Config, pairs []Pair, phase string) ([]Record, error) {
 		return nil, err
 	}
 	records := make([]Record, len(pairs))
-	_, err = runEngine(cfg, phase, len(pairs),
+	err = runEngine(cfg, phase, len(pairs),
 		func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *pairWorker {
 			return newPairWorker(cfg, w, rec, sp)
 		},
@@ -518,7 +518,7 @@ func Propagate(cfg Config, pairs []Pair, newSink func() PropagationSink) ([]Prop
 	// any Tracer so the engine does not count these runs as trajectories.
 	cfg.Tracer = nil
 	sinks := make([]PropagationSink, cfg.Workers)
-	_, err = runEngine(cfg, "propagate", len(pairs),
+	err = runEngine(cfg, "propagate", len(pairs),
 		func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *pairWorker {
 			pw := newPairWorker(cfg, w, rec, sp)
 			pw.sink = newSink()

@@ -3,6 +3,7 @@ package campaign
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"ftb/internal/kernels"
@@ -302,102 +303,165 @@ func TestCampaignOnRealKernel(t *testing.T) {
 	}
 }
 
+// rangesOf converts a set of reported experiments into the sorted,
+// maximal ranges a store would report.
+func rangesOf(set []bool) []Range {
+	var rs []Range
+	for i := 0; i < len(set); {
+		j := i
+		for j < len(set) && set[j] {
+			j++
+		}
+		if j > i {
+			rs = append(rs, Range{Lo: i, Hi: j})
+			i = j
+		} else {
+			i++
+		}
+	}
+	return rs
+}
+
+// rangeRecorder is an onRange hook that keeps what a store would: the
+// reported outcomes in a prior and the set of reported experiments.
+type rangeRecorder struct {
+	prior *GroundTruth
+	set   []bool
+	n     int
+	dup   int // experiments reported more than once
+}
+
+func newRangeRecorder(sites, bits int) *rangeRecorder {
+	return &rangeRecorder{
+		prior: &GroundTruth{SitesN: sites, BitsN: bits, WidthN: 64, Kinds: make([]outcome.Kind, sites*bits)},
+		set:   make([]bool, sites*bits),
+	}
+}
+
+func (r *rangeRecorder) add(lo, hi int, kinds []outcome.Kind) error {
+	copy(r.prior.Kinds[lo:hi], kinds)
+	for i := lo; i < hi; i++ {
+		if r.set[i] {
+			r.dup++
+		}
+		r.set[i] = true
+	}
+	r.n += hi - lo
+	return nil
+}
+
 func TestExhaustiveCheckpointedMatchesPlain(t *testing.T) {
 	cfg := chainConfig(20, 1e-9, 3)
 	want, err := Exhaustive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var checkpoints []int
-	got, err := ExhaustiveCheckpointed(cfg, nil, 0, 7, func(snap *GroundTruth, done int) error {
-		checkpoints = append(checkpoints, done)
-		// The snapshot must agree with the plain campaign on every
-		// completed site and be private (not the live array).
-		for i := 0; i < done*want.BitsN; i++ {
-			if snap.Kinds[i] != want.Kinds[i] {
-				t.Errorf("checkpoint %d: kind[%d] differs from plain campaign", done, i)
+	cfg.Batch = 7 // batches straddle sites
+	seen := make([]int, len(want.Kinds))
+	got, err := ExhaustiveResume(cfg, nil, nil, func(lo, hi int, kinds []outcome.Kind) error {
+		if len(kinds) != hi-lo {
+			t.Errorf("range [%d, %d) carries %d kinds", lo, hi, len(kinds))
+		}
+		// Every reported outcome is final: it agrees with the plain
+		// campaign at hook time.
+		for i := lo; i < hi; i++ {
+			seen[i]++
+			if kinds[i-lo] != want.Kinds[i] {
+				t.Errorf("kind[%d] reported as %v, plain campaign %v", i, kinds[i-lo], want.Kinds[i])
 			}
 		}
-		snap.Kinds[0] = outcome.Crash // must not corrupt the campaign
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Kinds {
-		if got.Kinds[i] != want.Kinds[i] {
-			t.Fatalf("kind[%d] differs from plain campaign", i)
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("experiment %d reported %d times, want exactly once", i, n)
 		}
 	}
-	// Checkpoints fire whenever the frontier crosses a 7-site stride
-	// (exact values depend on batch completion order) and once at the
-	// end; they must be strictly increasing and cover the campaign.
-	if len(checkpoints) < 2 || checkpoints[len(checkpoints)-1] != 20 {
-		t.Errorf("checkpoints = %v, want >= 2 strictly increasing ending at 20", checkpoints)
-	}
-	for i := 1; i < len(checkpoints); i++ {
-		if checkpoints[i] <= checkpoints[i-1] {
-			t.Errorf("checkpoints not strictly increasing: %v", checkpoints)
-		}
+	if !reflect.DeepEqual(got.Kinds, want.Kinds) {
+		t.Fatal("ground truth differs from plain campaign")
 	}
 }
 
 func TestExhaustiveCheckpointedResume(t *testing.T) {
-	// One worker makes the frontier advance deterministically, so the
-	// early-stop checkpoint below fires on every run.
-	cfg := chainConfig(20, 1e-9, 1)
+	cfg := chainConfig(20, 1e-9, 2)
 	want, err := Exhaustive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run the first stretch, capture the checkpoint, then resume.
-	var saved *GroundTruth
-	var savedSites int
-	_, err = ExhaustiveCheckpointed(cfg, nil, 0, 10, func(gt *GroundTruth, done int) error {
-		if done >= 10 && done < 20 {
-			saved = gt // checkpoints are private snapshots: safe to keep
-			savedSites = done
+	// Run until at least half the campaign is reported, then abort from
+	// the hook, as a failing store append would.
+	rec := newRangeRecorder(20, want.BitsN)
+	_, err = ExhaustiveResume(cfg, nil, nil, func(lo, hi int, kinds []outcome.Kind) error {
+		rec.add(lo, hi, kinds)
+		if rec.n >= len(want.Kinds)/2 {
 			return errStopEarly
 		}
 		return nil
 	})
-	if err == nil {
-		t.Fatal("expected early-stop error")
+	if !errors.Is(err, errStopEarly) {
+		t.Fatalf("err = %v, want the hook's error", err)
 	}
-	if saved == nil || savedSites < 10 {
-		t.Fatal("no checkpoint captured")
+	done := rangesOf(rec.set)
+	// Corrupt everything outside the reported ranges to prove resume
+	// trusts exactly those ranges and recomputes the rest.
+	for i, ok := range rec.set {
+		if !ok {
+			rec.prior.Kinds[i] = outcome.Crash
+		}
 	}
-	// Corrupt the unfinished half of the checkpoint to prove resume does
-	// not recompute the finished prefix but does compute the suffix.
-	for i := savedSites * saved.BitsN; i < len(saved.Kinds); i++ {
-		saved.Kinds[i] = outcome.Crash
-	}
-	got, err := ExhaustiveCheckpointed(cfg, saved, savedSites, 10, nil)
+	var total int
+	cfg.Observer = ObserverFunc(func(e Event) { total = e.Total })
+	got, err := ExhaustiveResume(cfg, rec.prior, done, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Kinds {
-		if got.Kinds[i] != want.Kinds[i] {
-			t.Fatalf("resumed kind[%d] differs", i)
-		}
+	if !reflect.DeepEqual(got.Kinds, want.Kinds) {
+		t.Fatal("resumed ground truth differs from plain campaign")
+	}
+	if total != len(want.Kinds)-rec.n {
+		t.Errorf("resume ran %d experiments, want the %d outside the reported ranges", total, len(want.Kinds)-rec.n)
 	}
 }
 
 func TestExhaustiveCheckpointedValidation(t *testing.T) {
 	cfg := chainConfig(8, 1e-9, 1)
-	if _, err := ExhaustiveCheckpointed(cfg, nil, 3, 4, nil); err == nil {
-		t.Error("prior sites without prior accepted")
+	total := 8 * 64
+	if _, err := ExhaustiveResume(cfg, nil, []Range{{0, 64}}, nil); err == nil {
+		t.Error("completed ranges without prior accepted")
 	}
-	// A prior that disagrees with the campaign identity is the typed
-	// ErrCheckpointMismatch, so callers can distinguish "wrong
-	// checkpoint file" from transient campaign failures.
+	// A prior or ranges that disagree with the campaign are the typed
+	// ErrCheckpointMismatch, so callers can tell a wrong store campaign
+	// from transient campaign failures.
 	bad := &GroundTruth{SitesN: 5, BitsN: 64, Kinds: make([]outcome.Kind, 5*64)}
-	if _, err := ExhaustiveCheckpointed(cfg, bad, 2, 4, nil); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := ExhaustiveResume(cfg, bad, []Range{{0, 64}}, nil); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("mismatched prior: got %v, want ErrCheckpointMismatch", err)
 	}
-	good := &GroundTruth{SitesN: 8, BitsN: 64, Kinds: make([]outcome.Kind, 8*64)}
-	if _, err := ExhaustiveCheckpointed(cfg, good, 9, 4, nil); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Errorf("out-of-range prior site count: got %v, want ErrCheckpointMismatch", err)
+	good := &GroundTruth{SitesN: 8, BitsN: 64, Kinds: make([]outcome.Kind, total)}
+	for _, done := range [][]Range{
+		{{0, total + 1}},      // outside the campaign
+		{{-1, 4}},             // negative
+		{{8, 4}},              // inverted
+		{{64, 128}, {0, 64}},  // unsorted
+		{{0, 100}, {64, 128}}, // overlapping
+	} {
+		if _, err := ExhaustiveResume(cfg, good, done, nil); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("ranges %v: got %v, want ErrCheckpointMismatch", done, err)
+		}
+	}
+	// A prior whose ranges cover everything runs nothing and returns it.
+	for i := range good.Kinds {
+		good.Kinds[i] = outcome.SDC
+	}
+	cfg.Factory = func() trace.Program { panic("covered campaign constructed a program") }
+	got, err := ExhaustiveResume(cfg, good, []Range{{0, total}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Kinds, good.Kinds) {
+		t.Error("covered resume did not return the prior's outcomes")
 	}
 }
 

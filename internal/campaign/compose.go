@@ -365,7 +365,7 @@ func ComposedExhaustive(cfg Config, opts ComposeOptions) (*GroundTruth, *Compose
 		rep.Calibrated = len(sample)
 
 		var mu workerMerge
-		_, err = runEngine(cfg, "compose-calibrate", len(sample),
+		err = runEngine(cfg, "compose-calibrate", len(sample),
 			func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *composeWorker {
 				cw := newWorker(w, rec, sp)
 				cw.locals = make([]*sections.Summary, len(secs))
@@ -419,7 +419,7 @@ func ComposedExhaustive(cfg Config, opts ComposeOptions) (*GroundTruth, *Compose
 	// Phase 2 — the composed main pass over the whole space (calibrated
 	// entries short-circuit: their exact result is already in).
 	var mu workerMerge
-	_, err = runEngine(cfg, "compose", space,
+	err = runEngine(cfg, "compose", space,
 		func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *composeWorker {
 			cw := newWorker(w, rec, sp)
 			mu.add(cw)

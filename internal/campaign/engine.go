@@ -57,8 +57,7 @@ type Event struct {
 	Done, Total int
 	// Frontier is the contiguous-completion watermark: every experiment
 	// with index < Frontier has finished. Done can exceed Frontier when
-	// later batches complete out of order. Checkpointing trusts only the
-	// frontier.
+	// later batches complete out of order.
 	Frontier int
 	// Counts tallies the outcomes classified so far.
 	Counts outcome.Counts
@@ -84,33 +83,33 @@ type ObserverFunc func(Event)
 func (f ObserverFunc) OnProgress(e Event) { f(e) }
 
 // progress is the engine's shared accounting: completion counts, the
-// contiguous frontier, outcome tallies, and observer/checkpoint
+// contiguous frontier, outcome tallies, and observer/range-hook
 // notification. All mutation happens under mu, which also serializes
-// observer callbacks and frontier hooks.
+// observer callbacks and range hooks.
 type progress struct {
-	mu         sync.Mutex
-	phase      string
-	total      int
-	done       int
-	frontier   Frontier
-	counts     outcome.Counts
-	start      time.Time
-	observer   Observer
-	onFrontier func(frontier int) error
+	mu       sync.Mutex
+	phase    string
+	total    int
+	done     int
+	frontier Frontier
+	counts   outcome.Counts
+	start    time.Time
+	observer Observer
+	onRange  func(lo, hi int) error
 }
 
 // rangeDone records the completion of items [lo, hi), advances the
-// frontier when possible, fires the frontier hook on advancement, and
-// emits a progress event. A hook error aborts the campaign.
+// frontier when possible, fires the range hook, and emits a progress
+// event. A hook error aborts the campaign.
 func (p *progress) rangeDone(lo, hi int, c outcome.Counts) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done += hi - lo
 	p.counts.Merge(c)
-	advanced := p.frontier.RangeDone(lo, hi)
+	p.frontier.RangeDone(lo, hi)
 	var hookErr error
-	if advanced && p.onFrontier != nil {
-		hookErr = p.onFrontier(p.frontier.Current())
+	if p.onRange != nil {
+		hookErr = p.onRange(lo, hi)
 	}
 	if p.observer != nil {
 		e := Event{
@@ -129,13 +128,6 @@ func (p *progress) rangeDone(lo, hi int, c outcome.Counts) error {
 	return hookErr
 }
 
-// currentFrontier returns the frontier with the lock held briefly.
-func (p *progress) currentFrontier() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.frontier.Current()
-}
-
 // runEngine executes n independent experiments on cfg.Workers goroutines
 // and blocks until every started worker has exited (it never leaks
 // goroutines, cancelled or not).
@@ -150,20 +142,19 @@ func (p *progress) currentFrontier() int {
 // which keeps campaign output in input order — and therefore byte-
 // identical — regardless of worker count or scheduling mode.
 //
-// onFrontier (optional) is called whenever the contiguous-completion
-// frontier advances; an error from it, like an error from item, cancels
-// the remaining work and is returned as the campaign's first error.
-// Cancellation of cfg.Context stops workers within one item and returns
-// the context's error, unless every item had already completed. The
-// returned int is the final frontier: items [0, frontier) are
-// guaranteed complete even on error.
+// onRange (optional) is called, serialized, after every completed batch
+// [lo, hi), in completion order; an error from it, like an error from
+// item, cancels the remaining work and is returned as the campaign's
+// first error. Cancellation of cfg.Context stops workers within one item
+// and returns the context's error, unless every item had already
+// completed. Every batch reported to onRange is complete, even on error.
 func runEngine[S any](cfg Config, phase string, n int,
 	setup func(worker int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) S,
 	item func(s S, i int) (outcome.Kind, error),
-	onFrontier func(frontier int) error,
-) (int, error) {
+	onRange func(lo, hi int) error,
+) error {
 	if n == 0 {
-		return 0, cfg.Context.Err()
+		return cfg.Context.Err()
 	}
 	batch := cfg.Batch
 	nBatches := (n + batch - 1) / batch
@@ -208,11 +199,11 @@ func runEngine[S any](cfg Config, phase string, n int,
 	defer phaseSpan.End(int64(n))
 
 	prog := &progress{
-		phase:      phase,
-		total:      n,
-		start:      time.Now(),
-		observer:   cfg.Observer,
-		onFrontier: onFrontier,
+		phase:    phase,
+		total:    n,
+		start:    time.Now(),
+		observer: cfg.Observer,
+		onRange:  onRange,
 	}
 
 	var (
@@ -342,15 +333,15 @@ func runEngine[S any](cfg Config, phase string, n int,
 	}
 	wg.Wait()
 
-	frontier := prog.currentFrontier()
+	// Every worker has exited, so prog needs no lock from here on.
 	err := firstErr
-	if err == nil && frontier < n {
+	if err == nil && prog.done < n {
 		// A cancellation that lands after the last item completed (an
 		// Observer cancelling on the final event) discards nothing.
 		err = cfg.Context.Err()
 	}
 	logger.Debug("campaign stop",
-		"phase", phase, "experiments", n, "frontier", frontier,
+		"phase", phase, "experiments", n, "done", prog.done,
 		"elapsed", time.Since(prog.start), "err", err)
-	return frontier, err
+	return err
 }

@@ -296,9 +296,9 @@ func TestSchedString(t *testing.T) {
 	}
 }
 
-// TestCheckpointCancelResume drives the tentpole's resume story end to
-// end: cancel an exhaustive campaign mid-flight, observe the flushed
-// checkpoint, resume from it, and match the uninterrupted result.
+// TestCheckpointCancelResume drives the resume story end to end: cancel
+// an exhaustive campaign mid-flight, keep what the range hook reported,
+// resume from it, and match the uninterrupted result.
 func TestCheckpointCancelResume(t *testing.T) {
 	cfg := chainConfig(20, 1e-9, 2)
 	cfg.Bits = 8
@@ -306,16 +306,17 @@ func TestCheckpointCancelResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := len(want.Kinds)
 
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	run1 := cfg
 	run1.Context = ctx
 	run1.Batch = 4
-	var saved *GroundTruth
-	savedSites := 0
-	_, err = ExhaustiveCheckpointed(run1, nil, 0, 2, func(gt *GroundTruth, done int) error {
-		saved, savedSites = gt, done
-		if done >= 6 {
+	rec := newRangeRecorder(20, 8)
+	_, err = ExhaustiveResume(run1, nil, nil, func(lo, hi int, kinds []outcome.Kind) error {
+		rec.add(lo, hi, kinds)
+		if rec.n >= 48 {
 			cancel()
 		}
 		return nil
@@ -323,23 +324,25 @@ func TestCheckpointCancelResume(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
 	}
-	if saved == nil || savedSites == 0 {
-		t.Fatal("no checkpoint flushed before returning")
+	if rec.n < 48 || rec.n >= total || rec.dup != 0 {
+		t.Fatalf("persisted %d of %d experiments (%d duplicates), want a non-empty strict subset", rec.n, total, rec.dup)
 	}
-	if savedSites >= 20 {
-		t.Fatalf("campaign completed despite cancellation (checkpoint at %d sites)", savedSites)
-	}
-	for i := 0; i < savedSites*8; i++ {
-		if saved.Kinds[i] != want.Kinds[i] {
-			t.Fatalf("checkpointed kind %d differs from uninterrupted run", i)
+	for i, ok := range rec.set {
+		if ok && rec.prior.Kinds[i] != want.Kinds[i] {
+			t.Fatalf("persisted kind %d differs from uninterrupted run", i)
 		}
 	}
 
-	got, err := ExhaustiveCheckpointed(cfg, saved, savedSites, 5, func(*GroundTruth, int) error { return nil })
+	var ran int
+	cfg.Observer = ObserverFunc(func(e Event) { ran = e.Done })
+	got, err := ExhaustiveResume(cfg, rec.prior, rangesOf(rec.set), nil)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	if !reflect.DeepEqual(got.Kinds, want.Kinds) {
 		t.Error("resumed ground truth differs from uninterrupted run")
+	}
+	if ran != total-rec.n {
+		t.Errorf("resume ran %d experiments, want the %d gaps", ran, total-rec.n)
 	}
 }

@@ -1,9 +1,9 @@
 package campaign
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"ftb/internal/bits"
 	"ftb/internal/obs"
@@ -13,12 +13,12 @@ import (
 )
 
 // ErrCheckpointMismatch reports a resume whose prior ground truth — a
-// checkpoint file, a store manifest, or an in-memory partial result —
-// disagrees with the campaign it is being resumed into on identity:
-// program shape (site count), bits per site, or config. Resuming such a
+// store campaign or an in-memory partial result — disagrees with the
+// campaign it is being resumed into: program shape (site count), bits
+// per site, or completed ranges outside the campaign. Resuming such a
 // prior would silently trust experiment outcomes from a different
 // campaign, so it is a typed, checkable error rather than a fresh start.
-var ErrCheckpointMismatch = errors.New("campaign: checkpoint does not match campaign identity")
+var ErrCheckpointMismatch = errors.New("campaign: resume prior does not match campaign identity")
 
 // GroundTruth is the result of an exhaustive campaign: the classified
 // outcome of every single-bit flip at every dynamic instruction. It is
@@ -71,154 +71,143 @@ func (g *GroundTruth) Overall() outcome.Counts {
 	return c
 }
 
+// Range is a half-open [Lo, Hi) range of experiment indices
+// (site*Bits + bit), the unit of resume: a store reports the ranges it
+// holds, and a resumed campaign runs only the gaps between them.
+type Range struct{ Lo, Hi int }
+
+// Resume validates a resume of a sites × bits campaign and seeds its
+// ground truth: done lists the sorted, non-overlapping experiment ranges
+// whose outcomes in prior are trusted (prior may be nil only when done is
+// empty). It returns the seeded ground truth and the gaps, the sorted
+// experiment ranges still to run. The in-process and cluster campaigns
+// share it, so both resume from exactly the same state.
+func Resume(prior *GroundTruth, done []Range, sites, bits, width int) (*GroundTruth, []Range, error) {
+	total := sites * bits
+	if len(done) > 0 && prior == nil {
+		return nil, nil, errors.New("campaign: completed ranges without a prior ground truth")
+	}
+	if prior != nil && (prior.SitesN != sites || prior.BitsN != bits || len(prior.Kinds) != total) {
+		return nil, nil, fmt.Errorf("%w: prior shape %d sites × %d bits, campaign %d sites × %d bits",
+			ErrCheckpointMismatch, prior.SitesN, prior.BitsN, sites, bits)
+	}
+	gt := &GroundTruth{SitesN: sites, BitsN: bits, WidthN: width, Kinds: make([]outcome.Kind, total)}
+	var gaps []Range
+	lo := 0
+	for _, r := range done {
+		if r.Lo < lo || r.Hi < r.Lo || r.Hi > total {
+			return nil, nil, fmt.Errorf("%w: completed range [%d, %d) unsorted, overlapping, or outside [0, %d)",
+				ErrCheckpointMismatch, r.Lo, r.Hi, total)
+		}
+		copy(gt.Kinds[r.Lo:r.Hi], prior.Kinds[r.Lo:r.Hi])
+		if r.Lo > lo {
+			gaps = append(gaps, Range{Lo: lo, Hi: r.Lo})
+		}
+		lo = r.Hi
+	}
+	if lo < total {
+		gaps = append(gaps, Range{Lo: lo, Hi: total})
+	}
+	return gt, gaps, nil
+}
+
 // Exhaustive runs the complete fault-injection campaign: cfg.Bits flips at
 // every one of the golden run's dynamic instructions. This is the paper's
 // "exhaustive fault injection campaign where every bit is flipped" (§4.1);
 // its cost is sites × bits program executions, which is why the inference
 // method exists. The campaign runs on the engine: cancellable through
 // cfg.Context and observable through cfg.Observer.
-func Exhaustive(cfg Config) (*GroundTruth, error) {
+func Exhaustive(cfg Config) (*GroundTruth, error) { return ExhaustiveResume(cfg, nil, nil, nil) }
+
+// ExhaustiveResume runs the exhaustive campaign minus the work an earlier
+// run finished: the outcomes of the done ranges are taken from prior (see
+// Resume) and only the gaps between them execute. onRange, when non-nil,
+// is called serialized after every completed engine batch with its
+// absolute experiment range and outcomes; kinds aliases the result and is
+// final once reported. Persisting what onRange reports makes an
+// interrupted campaign resumable from exactly the work it finished, in
+// whatever order the workers finished it. An onRange error aborts the
+// campaign.
+func ExhaustiveResume(cfg Config, prior *GroundTruth, done []Range, onRange func(lo, hi int, kinds []outcome.Kind) error) (*GroundTruth, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
-	sites := cfg.Golden.Sites()
-	gt := &GroundTruth{
-		SitesN: sites,
-		BitsN:  cfg.Bits,
-		WidthN: cfg.Width,
-		Kinds:  make([]outcome.Kind, sites*cfg.Bits),
+	gt, gaps, err := Resume(prior, done, cfg.Golden.Sites(), cfg.Bits, cfg.Width)
+	if err != nil {
+		return nil, err
 	}
-	_, err = runEngine(cfg, "exhaustive", sites*cfg.Bits,
+	idx := newGapIndex(gaps)
+	if len(done) > 0 {
+		cfg.Logger.Debug("campaign resume",
+			"phase", "exhaustive", "experiments_left", idx.n, "experiments_total", len(gt.Kinds))
+	}
+	var hook func(lo, hi int) error
+	if onRange != nil {
+		hook = func(lo, hi int) error {
+			return idx.each(lo, hi, func(lo, hi int) error { return onRange(lo, hi, gt.Kinds[lo:hi]) })
+		}
+	}
+	err = runEngine(cfg, "exhaustive", idx.n,
 		func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *pairWorker {
 			return newPairWorker(cfg, w, rec, sp)
 		},
 		func(w *pairWorker, i int) (outcome.Kind, error) {
-			pair := PairAt(i, cfg.Bits)
-			rec, err := w.runChecked(cfg, i, pair)
+			abs := idx.abs(i)
+			rec, err := w.runChecked(cfg, abs, PairAt(abs, cfg.Bits))
 			if err != nil {
 				return 0, err
 			}
-			gt.Kinds[i] = rec.Kind
+			gt.Kinds[abs] = rec.Kind
 			return rec.Kind, nil
-		}, nil)
+		}, hook)
 	if err != nil {
 		return nil, err
 	}
 	return gt, nil
 }
 
-// ExhaustiveCheckpointed runs an exhaustive campaign with engine-level
-// checkpointing: whenever the contiguous-completion frontier crosses a
-// multiple of batch sites (and once more at completion), checkpoint is
-// invoked with a private snapshot whose kinds are valid for the first
-// doneSites sites, so callers can persist partial progress (paper-scale
-// campaigns run for minutes to hours; a crash should not forfeit
-// completed work). To resume, pass the ground truth and completed-site
-// count from the last checkpoint; sites below prior are trusted and
-// skipped. checkpoint may be nil. A checkpoint error aborts the campaign.
-//
-// Cancellation through cfg.Context is partial-results-safe: a final
-// checkpoint is flushed at the frontier before the context error is
-// returned, so an interrupted campaign resumes where it stopped.
-func ExhaustiveCheckpointed(cfg Config, prior *GroundTruth, priorSites, batch int, checkpoint func(*GroundTruth, int) error) (*GroundTruth, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	sites := cfg.Golden.Sites()
-	if batch < 1 {
-		batch = 256
-	}
-	gt := &GroundTruth{
-		SitesN: sites,
-		BitsN:  cfg.Bits,
-		WidthN: cfg.Width,
-		Kinds:  make([]outcome.Kind, sites*cfg.Bits),
-	}
-	if prior != nil {
-		if prior.SitesN != sites || prior.BitsN != cfg.Bits {
-			return nil, fmt.Errorf("%w: checkpoint shape %d sites × %d bits, campaign %d sites × %d bits",
-				ErrCheckpointMismatch, prior.SitesN, prior.BitsN, sites, cfg.Bits)
-		}
-		if priorSites < 0 || priorSites > sites {
-			return nil, fmt.Errorf("%w: checkpoint site count %d outside [0, %d]",
-				ErrCheckpointMismatch, priorSites, sites)
-		}
-		copy(gt.Kinds[:priorSites*cfg.Bits], prior.Kinds[:priorSites*cfg.Bits])
-	} else if priorSites != 0 {
-		return nil, fmt.Errorf("campaign: prior site count %d without a prior ground truth", priorSites)
-	}
+// gapIndex maps the engine's dense item indices [0, n) onto the absolute
+// experiment indices of a resume's gaps, in order.
+type gapIndex struct {
+	gaps []Range
+	offs []int // offs[g] is the dense index of gaps[g].Lo
+	n    int
+}
 
-	n := (sites - priorSites) * cfg.Bits
-	// snapshot copies the completed prefix of the campaign. Only
-	// [0, doneSites) is copied: the suffix may be under concurrent
-	// mutation by workers beyond the frontier, and resume recomputes it
-	// anyway.
-	snapshot := func(doneSites int) *GroundTruth {
-		snap := &GroundTruth{
-			SitesN: sites,
-			BitsN:  cfg.Bits,
-			WidthN: cfg.Width,
-			Kinds:  make([]outcome.Kind, sites*cfg.Bits),
+func newGapIndex(gaps []Range) gapIndex {
+	x := gapIndex{gaps: gaps, offs: make([]int, len(gaps))}
+	for g, r := range gaps {
+		x.offs[g] = x.n
+		x.n += r.Hi - r.Lo
+	}
+	return x
+}
+
+// gap returns the gap holding dense index i.
+func (x gapIndex) gap(i int) int {
+	return sort.Search(len(x.offs), func(g int) bool { return x.offs[g] > i }) - 1
+}
+
+// abs returns the absolute experiment index of dense index i.
+func (x gapIndex) abs(i int) int {
+	g := x.gap(i)
+	return x.gaps[g].Lo + i - x.offs[g]
+}
+
+// each calls f with the absolute ranges that dense range [lo, hi) covers:
+// one per gap it spans.
+func (x gapIndex) each(lo, hi int, f func(lo, hi int) error) error {
+	for g := x.gap(lo); lo < hi; g++ {
+		r := x.gaps[g]
+		end := min(hi, x.offs[g]+r.Hi-r.Lo)
+		a := r.Lo + lo - x.offs[g]
+		if err := f(a, a+end-lo); err != nil {
+			return err
 		}
-		copy(snap.Kinds[:doneSites*cfg.Bits], gt.Kinds[:doneSites*cfg.Bits])
-		return snap
+		lo = end
 	}
-	if priorSites > 0 {
-		cfg.Logger.Debug("campaign resume",
-			"phase", "exhaustive", "sites_done", priorSites, "sites_total", sites)
-	}
-	lastCp := priorSites
-	save := func(doneSites int) error {
-		if err := checkpoint(snapshot(doneSites), doneSites); err != nil {
-			return fmt.Errorf("campaign: checkpoint at site %d: %w", doneSites, err)
-		}
-		cfg.Logger.Debug("checkpoint saved",
-			"phase", "exhaustive", "sites_done", doneSites, "sites_total", sites)
-		lastCp = doneSites
-		return nil
-	}
-	var onFrontier func(int) error
-	if checkpoint != nil {
-		onFrontier = func(frontier int) error {
-			doneSites := priorSites + frontier/cfg.Bits
-			if doneSites >= lastCp+batch || (frontier == n && doneSites > lastCp) {
-				return save(doneSites)
-			}
-			return nil
-		}
-	}
-	frontier, err := runEngine(cfg, "exhaustive", n,
-		func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *pairWorker {
-			return newPairWorker(cfg, w, rec, sp)
-		},
-		func(w *pairWorker, i int) (outcome.Kind, error) {
-			abs := priorSites*cfg.Bits + i
-			pair := PairAt(abs, cfg.Bits)
-			rec, rerr := w.runChecked(cfg, abs, pair)
-			if rerr != nil {
-				return 0, rerr
-			}
-			gt.Kinds[abs] = rec.Kind
-			return rec.Kind, nil
-		}, onFrontier)
-	if err != nil {
-		if checkpoint != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			doneSites := priorSites + frontier/cfg.Bits
-			if doneSites > lastCp {
-				if cpErr := save(doneSites); cpErr != nil {
-					return nil, errors.Join(err, cpErr)
-				}
-			}
-			cfg.Logger.Warn("campaign interrupted",
-				"phase", "exhaustive", "sites_done", doneSites, "sites_total", sites, "err", err)
-			return nil, fmt.Errorf("campaign: interrupted at %d/%d sites (progress checkpointed): %w",
-				doneSites, sites, err)
-		}
-		return nil, err
-	}
-	return gt, nil
+	return nil
 }
 
 // InjErr returns the injected-error magnitude of (site, bit) for 64-bit

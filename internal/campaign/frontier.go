@@ -4,8 +4,9 @@ package campaign
 // merge: completed index ranges arrive in any order (workers finish
 // batches out of order, remote shards return out of order) and the
 // frontier advances only when the prefix [0, frontier) is gap-free.
-// Checkpointing and resume logic trust nothing beyond the frontier, which
-// is what makes partial results safe to persist mid-campaign.
+// Progress events report it. Resume does not use it: one slow range can
+// hold it back while the rest of a campaign finishes, so resume keeps
+// the completed ranges themselves (see ExhaustiveResume).
 //
 // The in-process engine and the cluster coordinator share this type so
 // both execution paths have identical merge semantics. A Frontier is not
@@ -16,22 +17,23 @@ type Frontier struct {
 	pending  map[int]int // detached completed ranges [lo, hi)
 }
 
-// RangeDone records the completion of items [lo, hi) and reports whether
-// the frontier advanced. Overlapping or duplicate ranges are merge
-// errors upstream; Frontier assumes each index completes exactly once.
-func (f *Frontier) RangeDone(lo, hi int) (advanced bool) {
+// RangeDone records the completion of items [lo, hi) and advances the
+// frontier when the range closes its gap. Overlapping or duplicate ranges
+// are merge errors upstream; Frontier assumes each index completes
+// exactly once.
+func (f *Frontier) RangeDone(lo, hi int) {
 	if lo != f.frontier {
 		if f.pending == nil {
 			f.pending = make(map[int]int)
 		}
 		f.pending[lo] = hi
-		return false
+		return
 	}
 	f.frontier = hi
 	for {
 		h, ok := f.pending[f.frontier]
 		if !ok {
-			return true
+			return
 		}
 		delete(f.pending, f.frontier)
 		f.frontier = h

@@ -112,28 +112,38 @@ func TestExhaustiveTracedMatchesPlain(t *testing.T) {
 
 // TestExhaustiveCheckpointedTracedRunIDs checks that a resumed campaign
 // tags trajectories with absolute experiment indices, so traces from the
-// two halves of an interrupted campaign line up.
+// two halves of an interrupted campaign line up, across every gap.
 func TestExhaustiveCheckpointedTracedRunIDs(t *testing.T) {
 	cfg := tracedConfig(8, 2, proptrace.NewBuffer())
 	prior, err := Exhaustive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const priorSites = 5
+	done := []Range{{Lo: 64, Hi: 3 * 64}, {Lo: 5 * 64, Hi: 6*64 + 10}}
 	buf := proptrace.NewBuffer()
 	cfg = tracedConfig(8, 2, buf)
-	if _, err := ExhaustiveCheckpointed(cfg, prior, priorSites, 0, nil); err != nil {
+	if _, err := ExhaustiveResume(cfg, prior, done, nil); err != nil {
 		t.Fatal(err)
 	}
-	ts := buf.Trajectories()
-	wantRuns := (8 - priorSites) * 64
-	if len(ts) != wantRuns {
-		t.Fatalf("%d trajectories, want %d", len(ts), wantRuns)
+	covered := make([]bool, 8*64)
+	for _, r := range done {
+		for i := r.Lo; i < r.Hi; i++ {
+			covered[i] = true
+		}
 	}
-	base := priorSites * 64
+	var wantRuns []int
+	for i, c := range covered {
+		if !c {
+			wantRuns = append(wantRuns, i)
+		}
+	}
+	ts := buf.Trajectories()
+	if len(ts) != len(wantRuns) {
+		t.Fatalf("%d trajectories, want %d", len(ts), len(wantRuns))
+	}
 	for i, tr := range ts {
-		if tr.Run != base+i {
-			t.Fatalf("trajectory %d has run %d, want %d", i, tr.Run, base+i)
+		if tr.Run != wantRuns[i] {
+			t.Fatalf("trajectory %d has run %d, want %d", i, tr.Run, wantRuns[i])
 		}
 		pair := PairAt(tr.Run, 64)
 		if tr.Site != pair.Site || tr.Bit != pair.Bit {

@@ -92,16 +92,13 @@ func TestFrontierMerge(t *testing.T) {
 	if f.Current() != 0 || f.Pending() != 0 {
 		t.Fatalf("zero frontier = (%d, %d), want (0, 0)", f.Current(), f.Pending())
 	}
-	if adv := f.RangeDone(4, 8); adv {
+	if f.RangeDone(4, 8); f.Current() != 0 {
 		t.Error("out-of-order range advanced the frontier")
 	}
 	if f.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1", f.Pending())
 	}
-	if adv := f.RangeDone(0, 4); !adv {
-		t.Error("prefix range did not advance the frontier")
-	}
-	if f.Current() != 8 {
+	if f.RangeDone(0, 4); f.Current() != 8 {
 		t.Errorf("frontier = %d, want 8 (chained through the pending range)", f.Current())
 	}
 	// A long out-of-order tail collapses in one advance.
@@ -110,8 +107,8 @@ func TestFrontierMerge(t *testing.T) {
 	if f.Current() != 8 {
 		t.Errorf("frontier = %d, want 8", f.Current())
 	}
-	if adv := f.RangeDone(8, 12); !adv || f.Current() != 20 {
-		t.Errorf("RangeDone(8,12) = %v with frontier %d, want advance to 20", adv, f.Current())
+	if f.RangeDone(8, 12); f.Current() != 20 {
+		t.Errorf("RangeDone(8,12) left frontier %d, want advance to 20", f.Current())
 	}
 	if f.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0", f.Pending())

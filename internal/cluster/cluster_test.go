@@ -9,11 +9,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ftb/internal/campaign"
 	"ftb/internal/kernels"
+	"ftb/internal/outcome"
 	"ftb/internal/persist"
 	"ftb/internal/telemetry"
 	"ftb/internal/trace"
@@ -219,10 +221,26 @@ func TestClusterDropsDeadWorker(t *testing.T) {
 	tol := testTolerance(t, name)
 	want := gtBytes(t, inProcessGT(t, name, golden, tol, bits))
 
-	// deadAfter serves /v1/info honestly, then drops every run request on
-	// the floor by closing the connection — a worker that died right
-	// after the identity check.
-	_, healthy := startTestWorker(t, name, nil)
+	// The dying worker serves /v1/info honestly, then drops every run
+	// request on the floor by closing the connection — a worker that
+	// died right after the identity check. The healthy worker holds its
+	// first lease until the dying one has failed MaxWorkerFailures
+	// times, so it cannot finish the campaign before the drop.
+	const maxFailures = 2
+	var dropped atomic.Int32
+	failedOut := make(chan struct{})
+	_, healthy := startTestWorker(t, name, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == pathRun {
+				select {
+				case <-failedOut:
+				case <-time.After(30 * time.Second):
+					t.Error("dying worker never failed out")
+				}
+			}
+			h.ServeHTTP(rw, r)
+		})
+	})
 	_, dying := startTestWorker(t, name, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == pathRun {
@@ -234,6 +252,9 @@ func TestClusterDropsDeadWorker(t *testing.T) {
 				conn, _, err := hj.Hijack()
 				if err == nil {
 					conn.Close()
+				}
+				if dropped.Add(1) == maxFailures {
+					close(failedOut)
 				}
 				return
 			}
@@ -247,7 +268,7 @@ func TestClusterDropsDeadWorker(t *testing.T) {
 		Bits:              bits,
 		ShardSize:         64,
 		Backoff:           time.Millisecond,
-		MaxWorkerFailures: 2,
+		MaxWorkerFailures: maxFailures,
 		MaxLeaseAttempts:  50,
 	})
 	if err != nil {
@@ -284,22 +305,10 @@ func (l *leaseLog) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	l.h.ServeHTTP(rw, r)
 }
 
-func (l *leaseLog) minLo() (int, int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.lo) == 0 {
-		return 0, 0
-	}
-	m := l.lo[0]
-	for _, lo := range l.lo {
-		m = min(m, lo)
-	}
-	return m, len(l.lo)
-}
-
 // TestClusterCheckpointResume kills the coordinator (by context) after a
-// checkpoint and verifies the resumed campaign never re-leases completed
-// shards and still produces the byte-identical ground truth.
+// third of the space has merged and verifies the resumed campaign, given
+// the merged shards as completed ranges, never re-leases them and still
+// produces the byte-identical ground truth.
 func TestClusterCheckpointResume(t *testing.T) {
 	const name, bits = "cg", 2
 	golden, err := trace.Golden(testFactory(t, name)())
@@ -313,8 +322,8 @@ func TestClusterCheckpointResume(t *testing.T) {
 	log := &leaseLog{}
 	_, w1 := startTestWorker(t, name, func(h http.Handler) http.Handler { log.h = h; return log })
 
-	// Phase 1: run until the frontier clears a third of the space, then
-	// cancel — the "killed coordinator".
+	// Phase 1: record every merged shard, as a store would, and cancel
+	// once a third of the space has merged — the "killed coordinator".
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := Config{
@@ -325,34 +334,47 @@ func TestClusterCheckpointResume(t *testing.T) {
 		ShardSize: 32,
 		Context:   ctx,
 	}
+	prior := &campaign.GroundTruth{SitesN: golden.Sites(), BitsN: bits, WidthN: 64, Kinds: make([]outcome.Kind, total)}
+	merged := make([]bool, total)
+	n := 0
 	cfg1 := cfg
-	cfg1.OnFrontier = func(_ *campaign.GroundTruth, frontier int) error {
-		if frontier >= total/3 {
+	cfg1.OnShard = func(lo, hi int, kinds []outcome.Kind) error {
+		copy(prior.Kinds[lo:hi], kinds)
+		for i := lo; i < hi; i++ {
+			merged[i] = true
+		}
+		if n += hi - lo; n >= total/3 {
 			cancel()
 		}
 		return nil
 	}
-	res1, err := Exhaustive(cfg1)
-	if err == nil {
+	if _, err := Exhaustive(cfg1); err == nil {
 		t.Fatal("phase 1 completed despite cancellation")
 	}
-	if res1.Frontier < total/3 {
-		t.Fatalf("phase 1 frontier %d below cancellation threshold %d", res1.Frontier, total/3)
+	if n < total/3 || n >= total {
+		t.Fatalf("phase 1 merged %d/%d experiments, want a strict subset past the cancellation threshold", n, total)
 	}
-	// Build the checkpoint from the partial result, as ftb's checkpoint
-	// writer does: the partial GT plus the completed-site watermark.
-	ckptSites := res1.Frontier / bits
-	ckptGT := &campaign.GroundTruth{SitesN: golden.Sites(), BitsN: bits, WidthN: 64}
-	ckptGT.Kinds = append(ckptGT.Kinds, res1.GT.Kinds...)
+	var completed []campaign.Range
+	for i := 0; i < total; i++ {
+		if !merged[i] {
+			continue
+		}
+		j := i
+		for j < total && merged[j] {
+			j++
+		}
+		completed = append(completed, campaign.Range{Lo: i, Hi: j})
+		i = j
+	}
 
-	// Phase 2: fresh coordinator resuming from the checkpoint.
+	// Phase 2: fresh coordinator resuming from the merged ranges.
 	log.mu.Lock()
 	log.lo = nil
 	log.mu.Unlock()
 	cfg2 := cfg
 	cfg2.Context = context.Background()
-	cfg2.Prior = ckptGT
-	cfg2.PriorSites = ckptSites
+	cfg2.Prior = prior
+	cfg2.Completed = completed
 	res2, err := Exhaustive(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -360,12 +382,19 @@ func TestClusterCheckpointResume(t *testing.T) {
 	if got := gtBytes(t, res2.GT); !bytes.Equal(got, want) {
 		t.Fatal("resumed ground truth is not byte-identical to the in-process campaign")
 	}
-	minLo, n := log.minLo()
-	if n == 0 {
+	log.mu.Lock()
+	leased := append([]int(nil), log.lo...)
+	log.mu.Unlock()
+	if len(leased) == 0 {
 		t.Fatal("resume issued no leases")
 	}
-	if minLo < ckptSites*bits {
-		t.Errorf("resume re-leased completed work: lease lo %d below checkpoint %d", minLo, ckptSites*bits)
+	for _, lo := range leased {
+		if merged[lo] {
+			t.Errorf("resume re-leased completed work: lease lo %d was merged in phase 1", lo)
+		}
+	}
+	if res2.Shards != len(leased) {
+		t.Errorf("resume merged %d shards for %d leases", res2.Shards, len(leased))
 	}
 }
 

@@ -27,7 +27,7 @@ const (
 	// DefaultShardSize is the lease granularity in experiments: large
 	// enough that a program execution dominates the HTTP+JSON round
 	// trip, small enough that losing a worker forfeits little work and
-	// the checkpoint frontier advances steadily.
+	// durable merges (Config.OnShard) land steadily.
 	DefaultShardSize = 2048
 	// DefaultLeaseTimeout bounds one lease round trip. A worker that
 	// cannot finish a shard inside it is treated as lost and the lease
@@ -92,7 +92,7 @@ type Config struct {
 	Context context.Context
 	// Observer receives coordinator-side progress events (phase
 	// "exhaustive"): Done/Frontier count experiments, including the
-	// resumed prefix.
+	// resumed ranges.
 	Observer campaign.Observer
 	// Collector, when non-nil, absorbs each shard's telemetry snapshot
 	// as it arrives, so live exports reflect the whole fleet
@@ -110,32 +110,21 @@ type Config struct {
 	// Logger receives lease lifecycle events (Debug) and worker-loss /
 	// retry events (Warn). Nil discards.
 	Logger *slog.Logger
-	// Prior and PriorSites resume a checkpointed campaign: sites below
-	// PriorSites are copied from Prior and never leased.
-	Prior      *campaign.GroundTruth
-	PriorSites int
-	// Completed lists additional absolute experiment ranges whose
-	// outcomes in Prior are trusted — shard leases a previous
-	// coordinator merged durably (e.g. into a ground-truth store) before
-	// it was killed, which unlike the PriorSites prefix may sit anywhere
-	// in the experiment space. Ranges must be sorted, non-overlapping,
-	// and within [0, sites×bits); portions below the PriorSites prefix
-	// are ignored as redundant. Completed requires Prior and removes the
-	// covered experiments from lease generation.
-	Completed []Range
+	// Prior and Completed resume a campaign: Completed lists the
+	// absolute experiment ranges whose outcomes in Prior are trusted —
+	// shard leases a previous coordinator merged durably (e.g. into a
+	// ground-truth store) before it was killed, anywhere in the
+	// experiment space. Ranges must be sorted, non-overlapping, and
+	// within [0, sites×bits) (see campaign.Resume); they are never
+	// leased.
+	Prior     *campaign.GroundTruth
+	Completed []campaign.Range
 	// OnShard, when non-nil, is invoked (serialized, under the merge
 	// lock) with each completed lease's absolute experiment range and
-	// classified outcomes, before any OnFrontier call the merge
-	// triggers. It is the durable-merge hook: appending every shard to a
-	// store makes a killed coordinator resumable from exactly the shards
-	// it had merged. An error aborts the campaign.
+	// classified outcomes. It is the durable-merge hook: appending every
+	// shard to a store makes a killed coordinator resumable from exactly
+	// the shards it had merged. An error aborts the campaign.
 	OnShard func(lo, hi int, kinds []outcome.Kind) error
-	// OnFrontier, when non-nil, is invoked (serialized, under the merge
-	// lock) whenever the contiguous-completion frontier advances, with
-	// the partial ground truth and the absolute experiment frontier —
-	// the checkpoint hook. Only experiments below frontier are valid in
-	// gt. An error aborts the campaign.
-	OnFrontier func(gt *campaign.GroundTruth, frontier int) error
 }
 
 // Result is a completed (or interrupted) sharded campaign.
@@ -150,7 +139,7 @@ type Result struct {
 	// workers namespaced per shard.
 	Telemetry telemetry.Snapshot
 	// Shards counts leases executed successfully this run (excluding
-	// the resumed prefix); Retries counts failed lease attempts;
+	// the resumed ranges); Retries counts failed lease attempts;
 	// WorkersLost counts workers dropped from the pool.
 	Shards      int
 	Retries     int
@@ -211,9 +200,6 @@ func (c *Config) normalized() (Config, error) {
 	return out, nil
 }
 
-// Range is a half-open [Lo, Hi) range of absolute experiment indices.
-type Range struct{ Lo, Hi int }
-
 // lease is one shard of the experiment space, tracked through requeues.
 type lease struct {
 	lo, hi   int
@@ -225,7 +211,6 @@ type lease struct {
 type coordinator struct {
 	cfg   Config
 	gt    *campaign.GroundTruth
-	start int // absolute experiment index where this run begins
 	total int // absolute experiment count (sites × bits)
 
 	queue chan lease
@@ -233,8 +218,8 @@ type coordinator struct {
 	once  sync.Once // closes done
 
 	mu        sync.Mutex
-	frontier  campaign.Frontier // relative to start
-	doneCount int               // experiments merged this run
+	frontier  campaign.Frontier
+	doneCount int // experiments merged, resumed ranges included
 	counts    outcome.Counts
 	began     time.Time
 	telemetry telemetry.Snapshot
@@ -261,9 +246,8 @@ func (co *coordinator) fail(err error) {
 // model: scheduling, worker count, retries, and shard return order are
 // all invisible in the result.
 //
-// On error the returned Result still carries the partial ground truth
-// and its frontier so callers can checkpoint it (ftb's cluster
-// checkpointing does exactly that on cancellation).
+// On error the returned Result still carries the partial ground truth:
+// the ranges OnShard reported are valid in it.
 func Exhaustive(cfg Config) (*Result, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
@@ -271,32 +255,9 @@ func Exhaustive(cfg Config) (*Result, error) {
 	}
 	sites := cfg.Golden.Sites()
 	total := sites * cfg.Bits
-	gt := &campaign.GroundTruth{
-		SitesN: sites,
-		BitsN:  cfg.Bits,
-		WidthN: cfg.Width,
-		Kinds:  make([]outcome.Kind, total),
-	}
-	if cfg.Prior != nil {
-		if cfg.Prior.SitesN != sites || cfg.Prior.BitsN != cfg.Bits {
-			return nil, fmt.Errorf("cluster: %w: checkpoint shape %d sites × %d bits, campaign %d sites × %d bits",
-				campaign.ErrCheckpointMismatch, cfg.Prior.SitesN, cfg.Prior.BitsN, sites, cfg.Bits)
-		}
-		if cfg.PriorSites < 0 || cfg.PriorSites > sites {
-			return nil, fmt.Errorf("cluster: %w: checkpoint site count %d outside [0, %d]",
-				campaign.ErrCheckpointMismatch, cfg.PriorSites, sites)
-		}
-		copy(gt.Kinds[:cfg.PriorSites*cfg.Bits], cfg.Prior.Kinds[:cfg.PriorSites*cfg.Bits])
-	} else if cfg.PriorSites != 0 {
-		return nil, fmt.Errorf("cluster: prior site count %d without a prior ground truth", cfg.PriorSites)
-	}
-	start := cfg.PriorSites * cfg.Bits
-	completed, err := clipCompleted(cfg.Completed, start, total, cfg.Prior != nil)
+	gt, gaps, err := campaign.Resume(cfg.Prior, cfg.Completed, sites, cfg.Bits, cfg.Width)
 	if err != nil {
-		return nil, err
-	}
-	for _, r := range completed {
-		copy(gt.Kinds[r.Lo:r.Hi], cfg.Prior.Kinds[r.Lo:r.Hi])
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	ctx, cancel := context.WithCancel(cfg.Context)
@@ -304,7 +265,6 @@ func Exhaustive(cfg Config) (*Result, error) {
 	co := &coordinator{
 		cfg:    cfg,
 		gt:     gt,
-		start:  start,
 		total:  total,
 		done:   make(chan struct{}),
 		began:  time.Now(),
@@ -314,30 +274,34 @@ func Exhaustive(cfg Config) (*Result, error) {
 	// Seed the merge state with the already-completed ranges: they count
 	// as merged work, advance the frontier, and contribute their outcome
 	// tallies, exactly as if their leases had just returned.
-	for _, r := range completed {
+	for _, r := range cfg.Completed {
 		co.doneCount += r.Hi - r.Lo
-		co.frontier.RangeDone(r.Lo-start, r.Hi-start)
+		co.frontier.RangeDone(r.Lo, r.Hi)
 		for _, k := range gt.Kinds[r.Lo:r.Hi] {
 			co.counts.Add(k)
 		}
 	}
 
-	work := total - start
 	// Leases cover only the gaps between completed ranges. Capacity
 	// covers every lease, so re-queueing can never block.
-	leases := gapLeases(start, total, completed, cfg.ShardSize)
+	var leases []lease
+	for _, g := range gaps {
+		for s := g.Lo; s < g.Hi; s += cfg.ShardSize {
+			leases = append(leases, lease{lo: s, hi: min(s+cfg.ShardSize, g.Hi)})
+		}
+	}
 	co.queue = make(chan lease, max(len(leases), 1))
 	for _, l := range leases {
 		co.queue <- l
 	}
-	if co.doneCount == work {
+	if co.doneCount == total {
 		co.once.Do(func() { close(co.done) })
 	}
 
 	cfg.Logger.Debug("cluster campaign start",
-		"workers", len(cfg.Workers), "experiments", work-co.doneCount, "shards", len(leases),
-		"shard_size", cfg.ShardSize, "resumed_sites", cfg.PriorSites,
-		"resumed_ranges", len(completed), "lease_timeout", cfg.LeaseTimeout)
+		"workers", len(cfg.Workers), "experiments", total-co.doneCount, "shards", len(leases),
+		"shard_size", cfg.ShardSize, "resumed_ranges", len(cfg.Completed),
+		"lease_timeout", cfg.LeaseTimeout)
 
 	// Validate every worker's identity up front: a mismatched worker is
 	// a deployment error that would silently corrupt the merged oracle,
@@ -364,7 +328,7 @@ func Exhaustive(cfg Config) (*Result, error) {
 
 	res := &Result{
 		GT:          gt,
-		Frontier:    start + co.frontier.Current(),
+		Frontier:    co.frontier.Current(),
 		Telemetry:   co.telemetry,
 		Shards:      co.shards,
 		Retries:     co.retries,
@@ -374,9 +338,9 @@ func Exhaustive(cfg Config) (*Result, error) {
 	if err == nil {
 		err = cfg.Context.Err()
 	}
-	if err == nil && co.doneCount < work {
+	if err == nil && co.doneCount < total {
 		err = fmt.Errorf("cluster: all workers lost with %d/%d experiments incomplete (frontier %d)",
-			work-co.doneCount, work, res.Frontier)
+			total-co.doneCount, total, res.Frontier)
 	}
 	cfg.Logger.Debug("cluster campaign stop",
 		"frontier", res.Frontier, "experiments", total, "shards", co.shards,
@@ -389,52 +353,6 @@ func Exhaustive(cfg Config) (*Result, error) {
 		return res, fmt.Errorf("cluster: merged ground truth failed validation: %w", err)
 	}
 	return res, nil
-}
-
-// clipCompleted validates Config.Completed and clips it to [start, total):
-// ranges must be sorted, non-overlapping, in bounds, and backed by a
-// prior; portions below start duplicate the PriorSites prefix and drop.
-func clipCompleted(completed []Range, start, total int, havePrior bool) ([]Range, error) {
-	if len(completed) == 0 {
-		return nil, nil
-	}
-	if !havePrior {
-		return nil, errors.New("cluster: completed ranges without a prior ground truth")
-	}
-	var out []Range
-	prev := 0
-	for _, r := range completed {
-		if r.Lo < 0 || r.Hi < r.Lo || r.Hi > total {
-			return nil, fmt.Errorf("cluster: completed range [%d, %d) outside [0, %d)", r.Lo, r.Hi, total)
-		}
-		if r.Lo < prev {
-			return nil, fmt.Errorf("cluster: completed ranges unsorted or overlapping at [%d, %d)", r.Lo, r.Hi)
-		}
-		prev = r.Hi
-		if r.Hi <= start {
-			continue
-		}
-		out = append(out, Range{Lo: max(r.Lo, start), Hi: r.Hi})
-	}
-	return out, nil
-}
-
-// gapLeases shards the experiment space [start, total) minus the
-// completed ranges into leases of at most shardSize experiments.
-func gapLeases(start, total int, completed []Range, shardSize int) []lease {
-	var leases []lease
-	addGap := func(lo, hi int) {
-		for s := lo; s < hi; s += shardSize {
-			leases = append(leases, lease{lo: s, hi: min(s+shardSize, hi)})
-		}
-	}
-	lo := start
-	for _, r := range completed {
-		addGap(lo, r.Lo)
-		lo = r.Hi
-	}
-	addGap(lo, total)
-	return leases
 }
 
 // runWorker is one worker's lease loop: claim a shard, execute it
@@ -576,8 +494,8 @@ func (co *coordinator) validateResponse(l lease, resp *runResponse) error {
 
 // merge folds one completed shard into the ground truth, the frontier,
 // the observer stream, and the merged telemetry. Serialized under mu, so
-// observer callbacks and the frontier hook see monotonic state exactly
-// like the in-process engine's.
+// observer callbacks and the shard hook see monotonic state exactly like
+// the in-process engine's.
 func (co *coordinator) merge(l lease, resp *runResponse, workerURL string, leaseSpan uint64) error {
 	var c outcome.Counts
 	for i, k := range resp.Kinds {
@@ -597,8 +515,8 @@ func (co *coordinator) merge(l lease, resp *runResponse, workerURL string, lease
 	}
 	co.doneCount += l.hi - l.lo
 	co.counts.Merge(c)
-	advanced := co.frontier.RangeDone(l.lo-co.start, l.hi-co.start)
-	if co.doneCount == co.total-co.start {
+	co.frontier.RangeDone(l.lo, l.hi)
+	if co.doneCount == co.total {
 		co.once.Do(func() { close(co.done) })
 	}
 	if resp.Telemetry != nil {
@@ -614,15 +532,12 @@ func (co *coordinator) merge(l lease, resp *runResponse, workerURL string, lease
 	if co.cfg.OnShard != nil {
 		hookErr = co.cfg.OnShard(l.lo, l.hi, co.gt.Kinds[l.lo:l.hi])
 	}
-	if hookErr == nil && advanced && co.cfg.OnFrontier != nil {
-		hookErr = co.cfg.OnFrontier(co.gt, co.start+co.frontier.Current())
-	}
 	if co.cfg.Observer != nil {
 		e := campaign.Event{
 			Phase:    "exhaustive",
-			Done:     co.start + co.doneCount,
+			Done:     co.doneCount,
 			Total:    co.total,
-			Frontier: co.start + co.frontier.Current(),
+			Frontier: co.frontier.Current(),
 			Counts:   co.counts,
 			Elapsed:  time.Since(co.began),
 		}

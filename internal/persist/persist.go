@@ -38,7 +38,6 @@ const (
 	tagGroundTruth = 0x02
 	tagBoundary    = 0x03
 	tagKnown       = 0x04
-	tagCheckpoint  = 0x05
 )
 
 // ErrCorrupt is returned when a file fails its structural or checksum
@@ -219,6 +218,13 @@ func finishRead(cr *crcReader) error {
 	return nil
 }
 
+// shapeFits reports whether a decoded sites × bitsN table, bitsN in
+// [1, maxBits], holds exactly n entries. sites is bounded before the
+// multiply, so a forged shape cannot wrap the product onto n.
+func shapeFits(sites, bitsN, maxBits uint64, n int) bool {
+	return bitsN >= 1 && bitsN <= maxBits && sites <= maxSliceLen/bitsN && sites*bitsN == uint64(n)
+}
+
 // SaveGolden writes a golden run.
 func SaveGolden(w io.Writer, g *trace.GoldenRun) error {
 	cw := newCountingWriter(w)
@@ -319,7 +325,7 @@ func readGroundTruthBody(cr *crcReader) (*campaign.GroundTruth, error) {
 	if width != 32 && width != 64 {
 		return nil, fmt.Errorf("%w: ground truth width %d", ErrCorrupt, width)
 	}
-	if uint64(len(raw)) != sites*bitsN || bitsN == 0 || bitsN > width {
+	if !shapeFits(sites, bitsN, width, len(raw)) {
 		return nil, fmt.Errorf("%w: ground truth shape %dx%d with %d kinds", ErrCorrupt, sites, bitsN, len(raw))
 	}
 	kinds := make([]outcome.Kind, len(raw))
@@ -330,49 +336,6 @@ func readGroundTruthBody(cr *crcReader) (*campaign.GroundTruth, error) {
 		kinds[i] = outcome.Kind(b)
 	}
 	return &campaign.GroundTruth{SitesN: int(sites), BitsN: int(bitsN), WidthN: int(width), Kinds: kinds}, nil
-}
-
-// Checkpoint is a partially completed exhaustive campaign: the ground
-// truth accumulated so far plus the number of fully completed sites.
-type Checkpoint struct {
-	GT        *campaign.GroundTruth
-	DoneSites int
-}
-
-// SaveCheckpoint writes a campaign checkpoint.
-func SaveCheckpoint(w io.Writer, c Checkpoint) error {
-	cw := newCountingWriter(w)
-	if err := writeHeader(cw, tagCheckpoint); err != nil {
-		return err
-	}
-	if err := writeUint64(cw, uint64(c.DoneSites)); err != nil {
-		return err
-	}
-	return writeGroundTruthBody(cw, c.GT)
-}
-
-// LoadCheckpoint reads a campaign checkpoint.
-func LoadCheckpoint(r io.Reader) (Checkpoint, error) {
-	var c Checkpoint
-	cr := newCRCReader(r)
-	if err := readHeader(cr, tagCheckpoint); err != nil {
-		return c, err
-	}
-	done, err := readUint64(cr)
-	if err != nil {
-		return c, err
-	}
-	gt, err := readGroundTruthBody(cr)
-	if err != nil {
-		return c, err
-	}
-	if err := finishRead(cr); err != nil {
-		return c, err
-	}
-	if done > uint64(gt.SitesN) {
-		return c, fmt.Errorf("%w: checkpoint done=%d exceeds sites=%d", ErrCorrupt, done, gt.SitesN)
-	}
-	return Checkpoint{GT: gt, DoneSites: int(done)}, nil
 }
 
 // SaveBoundary writes a fault tolerance boundary.
@@ -452,7 +415,7 @@ func LoadKnown(r io.Reader) (*boundary.Known, error) {
 	if err := finishRead(cr); err != nil {
 		return nil, err
 	}
-	if bitsN == 0 || bitsN > 64 || uint64(len(raw)) != sites*bitsN {
+	if !shapeFits(sites, bitsN, 64, len(raw)) {
 		return nil, fmt.Errorf("%w: known table shape %dx%d with %d entries", ErrCorrupt, sites, bitsN, len(raw))
 	}
 	k := boundary.NewKnown(int(sites), int(bitsN))

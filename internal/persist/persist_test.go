@@ -283,42 +283,65 @@ func TestQuickBoundaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	gt := &campaign.GroundTruth{
-		SitesN: 4, BitsN: 2, WidthN: 64,
-		Kinds: []outcome.Kind{
-			outcome.Masked, outcome.SDC,
-			outcome.Crash, outcome.Masked,
-			0, 0, 0, 0, // unfinished suffix
-		},
-	}
+// forge builds a container with a valid checksum around an arbitrary
+// header-field payload: the CRC passes, so only the decoders' own shape
+// checks stand between the fields and an allocation.
+func forge(tag byte, fields ...uint64) []byte {
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, Checkpoint{GT: gt, DoneSites: 2}); err != nil {
-		t.Fatal(err)
+	cw := newCountingWriter(&buf)
+	writeHeader(cw, tag)
+	for _, v := range fields {
+		writeUint64(cw, v)
 	}
-	got, err := LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
+	finishWrite(cw)
+	return buf.Bytes()
+}
+
+// TestLoadRejectsShapeOverflow pins the wrap-around of sites × bits: with
+// sites = 2^63 and bits = 2 the product wraps to 0, which used to match
+// an empty payload, so LoadKnown panicked allocating the table and
+// LoadGroundTruth returned a negative site count.
+func TestLoadRejectsShapeOverflow(t *testing.T) {
+	const huge = 1 << 63
+	gt := forge(tagGroundTruth, huge, 2, 64, 0) // sites, bits, width, kinds length
+	if len(gt) != 42 {
+		t.Fatalf("forged ground truth is %d bytes, want 42", len(gt))
 	}
-	if got.DoneSites != 2 || got.GT.SitesN != 4 || got.GT.BitsN != 2 {
-		t.Fatalf("checkpoint = %+v", got)
+	if g, err := LoadGroundTruth(bytes.NewReader(gt)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LoadGroundTruth = %+v, %v; want ErrCorrupt", g, err)
 	}
-	for i := range gt.Kinds {
-		if got.GT.Kinds[i] != gt.Kinds[i] {
-			t.Errorf("kind[%d] mismatch", i)
-		}
+	known := forge(tagKnown, huge, 2, 0) // sites, bits, entries length
+	if k, err := LoadKnown(bytes.NewReader(known)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LoadKnown = %v, %v; want ErrCorrupt", k, err)
+	}
+	// The bound is exact: the largest sites that fits still decodes when
+	// the payload matches, here the empty table.
+	if _, err := LoadGroundTruth(bytes.NewReader(forge(tagGroundTruth, 0, 2, 64, 0))); err != nil {
+		t.Errorf("empty ground truth rejected: %v", err)
 	}
 }
 
-func TestCheckpointRejectsOverrun(t *testing.T) {
-	gt := &campaign.GroundTruth{SitesN: 2, BitsN: 1, WidthN: 64, Kinds: make([]outcome.Kind, 2)}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, Checkpoint{GT: gt, DoneSites: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(&buf); err == nil {
-		t.Error("done > sites accepted")
-	}
+// FuzzLoad feeds arbitrary bytes to every decoder. Each must return an
+// artifact or an error, never panic, and a decoded table's shape must
+// agree with its payload. The seed corpus in testdata/fuzz/FuzzLoad holds
+// one valid container per record type and the forged overflow shapes.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if g, err := LoadGolden(bytes.NewReader(data)); err == nil && g == nil {
+			t.Fatal("LoadGolden: nil run without error")
+		}
+		if gt, err := LoadGroundTruth(bytes.NewReader(data)); err == nil {
+			if gt.SitesN < 0 || gt.BitsN < 1 || len(gt.Kinds) != gt.SitesN*gt.BitsN {
+				t.Fatalf("LoadGroundTruth: shape %dx%d with %d kinds", gt.SitesN, gt.BitsN, len(gt.Kinds))
+			}
+		}
+		if b, err := LoadBoundary(bytes.NewReader(data)); err == nil && b == nil {
+			t.Fatal("LoadBoundary: nil boundary without error")
+		}
+		if k, err := LoadKnown(bytes.NewReader(data)); err == nil && (k.Sites() < 0 || k.BitsN() < 1) {
+			t.Fatalf("LoadKnown: shape %dx%d", k.Sites(), k.BitsN())
+		}
+	})
 }
 
 func TestGroundTruthWidthRoundTrip(t *testing.T) {

@@ -51,10 +51,6 @@ const (
 	defaultCompactAfter = 16
 )
 
-// Range is a half-open [Lo, Hi) range of experiment indices
-// (site*Bits + bit).
-type Range struct{ Lo, Hi int }
-
 // Summary aggregates the stored outcomes of an experiment range.
 type Summary struct {
 	Counts  outcome.Counts // tallies over stored experiments
@@ -569,7 +565,7 @@ func (c *Campaign) Materialize() (*campaign.GroundTruth, error) {
 // MaterializeSparse reassembles whatever the store holds: a GroundTruth
 // whose kinds are valid inside the returned completed ranges (sorted,
 // non-adjacent, half-open experiment-index ranges) and zero elsewhere.
-func (c *Campaign) MaterializeSparse() (*campaign.GroundTruth, []Range, error) {
+func (c *Campaign) MaterializeSparse() (*campaign.GroundTruth, []campaign.Range, error) {
 	total := c.id.experiments()
 	kinds := make([]outcome.Kind, total)
 	set := make([]bool, total)
@@ -588,8 +584,8 @@ func (c *Campaign) MaterializeSparse() (*campaign.GroundTruth, []Range, error) {
 }
 
 // rangesOf converts a presence bitmap into sorted maximal ranges.
-func rangesOf(set []bool) []Range {
-	var rs []Range
+func rangesOf(set []bool) []campaign.Range {
+	var rs []campaign.Range
 	for i := 0; i < len(set); {
 		if !set[i] {
 			i++
@@ -599,30 +595,16 @@ func rangesOf(set []bool) []Range {
 		for j < len(set) && set[j] {
 			j++
 		}
-		rs = append(rs, Range{Lo: i, Hi: j})
+		rs = append(rs, campaign.Range{Lo: i, Hi: j})
 		i = j
 	}
 	return rs
 }
 
 // Completed returns the experiment ranges with stored outcomes.
-func (c *Campaign) Completed() ([]Range, error) {
+func (c *Campaign) Completed() ([]campaign.Range, error) {
 	_, rs, err := c.MaterializeSparse()
 	return rs, err
-}
-
-// PrefixSites returns the number of whole sites covered by the store's
-// contiguous completed prefix — the resume point for in-process
-// checkpointed campaigns, which trust exactly a prefix.
-func (c *Campaign) PrefixSites() (int, error) {
-	rs, err := c.Completed()
-	if err != nil {
-		return 0, err
-	}
-	if len(rs) == 0 || rs[0].Lo != 0 {
-		return 0, nil
-	}
-	return rs[0].Hi / c.id.Bits, nil
 }
 
 // ImportGroundTruth migrates a fully-materialized ground truth — e.g.

@@ -94,17 +94,15 @@ func TestGetMissingAndPartialCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Completed: %v", err)
 	}
-	if len(rs) != 1 || rs[0] != (Range{Lo: 8, Hi: 24}) {
+	if len(rs) != 1 || rs[0] != (campaign.Range{Lo: 8, Hi: 24}) {
 		t.Fatalf("Completed = %v, want [{8 24}]", rs)
-	}
-	if p, err := c.PrefixSites(); err != nil || p != 0 {
-		t.Fatalf("PrefixSites = %d, %v (non-prefix coverage)", p, err)
 	}
 	if err := c.Append(0, kindsFor(0, 8, 0)); err != nil {
 		t.Fatalf("Append prefix: %v", err)
 	}
-	if p, err := c.PrefixSites(); err != nil || p != 6 {
-		t.Fatalf("PrefixSites = %d, %v, want 6", p, err)
+	// Adjacent appends coalesce into one maximal range.
+	if rs, err := c.Completed(); err != nil || len(rs) != 1 || rs[0] != (campaign.Range{Lo: 0, Hi: 24}) {
+		t.Fatalf("Completed = %v, %v, want [{0 24}]", rs, err)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // Serialization of analysis artifacts. The format is a small versioned
 // binary container with a trailing CRC-32; float payloads round-trip
-// bit-exactly. See also Analysis.ExhaustiveCheckpointed for incremental
-// campaign persistence.
+// bit-exactly. See WithStore for durable, resumable exhaustive
+// campaigns.
 
 // SaveGoldenRun writes a golden run to w.
 func SaveGoldenRun(w io.Writer, g *GoldenRun) error { return persist.SaveGolden(w, g) }
@@ -77,11 +77,4 @@ func SaveKnownFile(path string, k *Known) error {
 // LoadKnownFile reads a sampled-outcome table from path.
 func LoadKnownFile(path string) (*Known, error) {
 	return persist.LoadFile(path, persist.LoadKnown)
-}
-
-// saveCheckpointForTest seeds a campaign checkpoint file; exported to the
-// package's tests only (the production write path is
-// Analysis.ExhaustiveCheckpointed itself).
-func saveCheckpointForTest(path string, gt *GroundTruth, done int) error {
-	return persist.SaveFile(path, persist.Checkpoint{GT: gt, DoneSites: done}, persist.SaveCheckpoint)
 }

@@ -90,8 +90,9 @@ func NewScenarioAnalysis(sc *Scenario) (*Analysis, error) {
 // RunScenario executes one scenario end to end and evaluates its gates.
 // Exhaustive scenarios run the full campaign (through the durable
 // store-backed resumable path when a WithStore option is present, with
-// per-site frontier appends so a killed run loses at most one site of
-// progress); sample scenarios classify a fixed-seed uniform draw.
+// a one-site append stride so a killed run loses little more than the
+// batches its workers had in flight); sample scenarios classify a
+// fixed-seed uniform draw.
 // Identical scenario files always produce identical results — the
 // determinism contract of the engine extends to the declarative layer.
 // Gate violations land in the result's Failures, not in the error.

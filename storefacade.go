@@ -3,6 +3,8 @@ package ftb
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"ftb/internal/campaign"
 	"ftb/internal/cluster"
@@ -28,8 +30,7 @@ type StoreCampaign = store.Campaign
 type StoreIdentity = store.Identity
 
 // Typed store errors, re-exported so callers can errors.Is against the
-// facade alone. ErrCheckpointMismatch additionally covers the checkpoint
-// file path (see campaign.ErrCheckpointMismatch).
+// facade alone.
 var (
 	// ErrStoreIdentityMismatch reports a store campaign whose recorded
 	// identity disagrees with the analysis (different program, shape,
@@ -41,8 +42,9 @@ var (
 	// ErrStoreIncomplete reports a materialization over a campaign that
 	// does not yet cover every (site, bit) experiment.
 	ErrStoreIncomplete = store.ErrIncomplete
-	// ErrCheckpointMismatch reports a resume whose prior — checkpoint
-	// file or store campaign — does not match the campaign's identity.
+	// ErrCheckpointMismatch reports a resume whose prior — a store
+	// campaign's outcomes and completed ranges — does not match the
+	// campaign's shape (see campaign.ErrCheckpointMismatch).
 	ErrCheckpointMismatch = campaign.ErrCheckpointMismatch
 )
 
@@ -51,12 +53,12 @@ var (
 // Store value is safe for concurrent use.
 func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 
-// WithStore routes the call's exhaustive campaign through st: outcomes
-// are appended durably to the analysis's campaign log as the run
-// progresses, the returned ground truth is materialized back from the
-// store (byte-identical to the in-memory result), and
-// ExhaustiveCheckpointed resumes from the store manifest instead of a
-// checkpoint file. Only exhaustive campaigns consult the store.
+// WithStore routes the call's exhaustive campaign through st: the
+// campaign runs only the experiments the store does not hold yet (so a
+// killed run resumes where it stopped), outcomes are appended durably as
+// the run progresses, and the returned ground truth is materialized back
+// from the store (byte-identical to the in-memory result). Only
+// exhaustive campaigns consult the store.
 func WithStore(st *Store) RunOption {
 	return func(rc *runConfig) { rc.store = st }
 }
@@ -116,88 +118,107 @@ func (a *Analysis) ImportGroundTruthFile(st *Store, path string) error {
 	return a.ImportGroundTruth(st, gt)
 }
 
-// storeFinalize appends a completed ground truth to the analysis's
-// campaign in st and returns the store-materialized copy, so the
-// caller's result is exactly what later queries will serve.
-func (a *Analysis) storeFinalize(rc runConfig, gt *GroundTruth) (*GroundTruth, error) {
+// storeBatch is Exhaustive(WithStore)'s append stride in sites, the
+// default of ExhaustiveCheckpointed's batch and of `ftbcli exhaustive
+// -batch`.
+const storeBatch = 256
+
+// storeExhaustive runs the exhaustive campaign durably through rc.store.
+// The campaign log carries the resume state: the experiment ranges it
+// already holds are skipped, newly completed ranges land as durable
+// appends, and the final ground truth is materialized from the store, so
+// it is exactly what later queries serve. A campaign the store already
+// covers costs zero engine runs.
+func (a *Analysis) storeExhaustive(rc runConfig, batch int) (*GroundTruth, error) {
 	c, err := rc.store.Campaign(a.storeIdentityFor(rc))
 	if err != nil {
 		return nil, err
 	}
-	h := rc.spans.Start(obs.CatStoreAppend, "finalize", rc.spanParent, -1)
-	err = c.ImportGroundTruth(gt)
-	h.End(int64(len(gt.Kinds)))
+	prior, done, err := c.MaterializeSparse()
+	if err != nil {
+		return nil, err
+	}
+	appendRange := func(name string, lo int, kinds []Outcome) error {
+		h := rc.spans.Start(obs.CatStoreAppend, name, rc.spanParent, -1)
+		err := c.Append(lo, kinds)
+		h.End(int64(len(kinds)))
+		return err
+	}
+	if rc.cluster != nil {
+		// Each merged lease is appended before its merge completes: the
+		// store never lags the coordinator.
+		onShard := func(lo, _ int, kinds []Outcome) error { return appendRange("shard", lo, kinds) }
+		if _, err := a.clusterExhaustive(rc, prior, done, onShard); err != nil {
+			return nil, err
+		}
+		return c.Materialize()
+	}
+	if batch < 1 {
+		batch = storeBatch
+	}
+	sink := &rangeSink{
+		flushAt: batch * a.bitsFor(rc),
+		append:  func(lo int, kinds []Outcome) error { return appendRange("ranges", lo, kinds) },
+	}
+	_, err = campaign.ExhaustiveResume(a.configFrom(rc), prior, done, sink.add)
+	// Flush on every exit, cancellation and errors included: whatever
+	// the engine reported complete is kept for the next resume.
+	if ferr := sink.flush(); ferr != nil {
+		err = errors.Join(err, ferr)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return c.Materialize()
 }
 
-// storeCheckpointed is ExhaustiveCheckpointed's store-backed path. The
-// campaign log carries the resume state: completed work is read back
-// from the store manifest, progress lands as durable batch appends (at
-// frontier granularity in-process, at shard granularity under
-// WithCluster), and the final ground truth is materialized from the
-// store. A campaign the store already covers completely costs zero
-// engine runs.
-func (a *Analysis) storeCheckpointed(rc runConfig, checkpointPath string, batch int) (*GroundTruth, error) {
-	if checkpointPath != "" {
-		return nil, errors.New("ftb: WithStore and a checkpoint file are mutually exclusive; pass an empty checkpointPath and let the store carry resume state")
+// rangeSink buffers the completed ranges an in-process campaign reports
+// and appends them once they add up to flushAt experiments. Adjacent
+// ranges coalesce, so a flush costs one fsynced append per run of
+// adjacent work rather than one per engine batch.
+type rangeSink struct {
+	flushAt int
+	append  func(lo int, kinds []Outcome) error
+	pending []pendingRange // sorted by lo, never adjacent
+	n       int            // experiments pending
+}
+
+type pendingRange struct {
+	lo    int
+	kinds []Outcome
+}
+
+func (s *rangeSink) end(i int) int { return s.pending[i].lo + len(s.pending[i].kinds) }
+
+// add buffers the range [lo, hi) with its outcomes, copied.
+func (s *rangeSink) add(lo, hi int, kinds []Outcome) error {
+	i := sort.Search(len(s.pending), func(i int) bool { return s.pending[i].lo > lo })
+	if i > 0 && s.end(i-1) == lo {
+		i--
+		s.pending[i].kinds = append(s.pending[i].kinds, kinds...)
+	} else {
+		s.pending = slices.Insert(s.pending, i, pendingRange{lo: lo, kinds: slices.Clone(kinds)})
 	}
-	c, err := rc.store.Campaign(a.storeIdentityFor(rc))
-	if err != nil {
-		return nil, err
+	if i+1 < len(s.pending) && s.end(i) == s.pending[i+1].lo {
+		s.pending[i].kinds = append(s.pending[i].kinds, s.pending[i+1].kinds...)
+		s.pending = slices.Delete(s.pending, i+1, i+2)
 	}
-	prior, completed, err := c.MaterializeSparse()
-	if err != nil {
-		return nil, err
+	s.n += hi - lo
+	if s.n >= s.flushAt {
+		return s.flush()
 	}
-	prefixSites, err := c.PrefixSites()
-	if err != nil {
-		return nil, err
-	}
-	if rc.cluster != nil {
-		// Every completed experiment range in the store — contiguous
-		// prefix or not — is handed to the coordinator as already-done
-		// work, so a killed coordinator resumes without re-leasing any
-		// merged shard. Each newly merged lease is appended before the
-		// merge completes: the store never lags the coordinator.
-		ranges := make([]cluster.Range, len(completed))
-		for i, r := range completed {
-			ranges[i] = cluster.Range{Lo: r.Lo, Hi: r.Hi}
-		}
-		onShard := func(lo, hi int, kinds []Outcome) error {
-			h := rc.spans.Start(obs.CatStoreAppend, "shard", rc.spanParent, -1)
-			err := c.Append(lo, kinds)
-			h.End(int64(len(kinds)))
+	return nil
+}
+
+// flush appends every buffered range, lowest first.
+func (s *rangeSink) flush() error {
+	for len(s.pending) > 0 {
+		p := s.pending[0]
+		if err := s.append(p.lo, p.kinds); err != nil {
 			return err
 		}
-		if _, err := a.clusterExhaustive(rc, prior, prefixSites, ranges, onShard, nil); err != nil {
-			return nil, err
-		}
-		return c.Materialize()
+		s.pending = s.pending[1:]
+		s.n -= len(p.kinds)
 	}
-	// In-process: the engine's contiguous-completion frontier drives
-	// delta appends — each checkpoint call persists only the sites
-	// completed since the last one.
-	lastSaved := prefixSites
-	bitsN := a.bitsFor(rc)
-	save := func(partial *GroundTruth, done int) error {
-		if done <= lastSaved {
-			return nil
-		}
-		start := lastSaved * bitsN
-		h := rc.spans.Start(obs.CatStoreAppend, "frontier", rc.spanParent, -1)
-		err := c.Append(start, partial.Kinds[start:done*bitsN])
-		h.End(int64(done*bitsN - start))
-		if err != nil {
-			return err
-		}
-		lastSaved = done
-		return nil
-	}
-	if _, err := campaign.ExhaustiveCheckpointed(a.configFrom(rc), prior, prefixSites, batch, save); err != nil {
-		return nil, err
-	}
-	return c.Materialize()
+	return nil
 }
