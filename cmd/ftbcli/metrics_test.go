@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -199,12 +200,15 @@ func TestCmdExhaustivePprofFlags(t *testing.T) {
 // TestCmdExpHonoursExecFlags: exp takes its campaign options from the
 // shared exec flags, so -noreplay must leave the metrics snapshot with
 // zero replay restores, where the default run restores from snapshots.
-// table2 runs fresh sampling campaigns on every call (only the
-// exhaustive ground truth is memoized across calls in one process).
+// The experiments package memoizes sampling campaigns per seed within
+// one process, so each call passes a seed no other call uses and runs
+// its table2 campaigns fresh.
 func TestCmdExpHonoursExecFlags(t *testing.T) {
+	seed := 200
 	restores := func(extra ...string) int64 {
+		seed++
 		path := filepath.Join(t.TempDir(), "metrics.json")
-		args := append([]string{"table2", "-size", "test", "-trials", "1", "-metrics", path}, extra...)
+		args := append([]string{"table2", "-size", "test", "-trials", "1", "-seed", fmt.Sprint(seed), "-metrics", path}, extra...)
 		capture(t, func() error { return cmdExp(context.Background(), args) })
 		data, err := os.ReadFile(path)
 		if err != nil {

@@ -95,6 +95,9 @@ type (
 	Record = campaign.Record
 	// GroundTruth holds an exhaustive campaign's outcome per (site, bit).
 	GroundTruth = campaign.GroundTruth
+	// MCEstimate is a Monte Carlo campaign's whole-program SDC-ratio
+	// estimate with its 95% confidence interval.
+	MCEstimate = campaign.MCEstimate
 	// Outcome is an experiment outcome kind (Masked, SDC, Crash).
 	Outcome = outcome.Kind
 	// Boundary is a program's fault tolerance boundary.
@@ -769,6 +772,18 @@ func (a *Analysis) RunPairs(pairs []Pair, opts ...RunOption) ([]Record, error) {
 	return campaign.RunPairs(a.configFrom(rc), pairs)
 }
 
+// MonteCarlo runs the traditional baseline campaign (§3.1): k
+// experiments drawn by seed uniformly without replacement from the
+// sample space, classified, and summarized as one overall SDC ratio with
+// a 95% confidence interval.
+func (a *Analysis) MonteCarlo(seed uint64, k int, opts ...RunOption) (*MCEstimate, error) {
+	rc := a.resolve(opts)
+	if rc.cluster != nil {
+		return nil, errClusterUnsupported("MonteCarlo")
+	}
+	return campaign.MonteCarlo(a.configFrom(rc), rng.New(seed), k)
+}
+
 // NewPredictor builds a predictor for an arbitrary boundary (e.g. one
 // obtained from ExhaustiveBoundary or loaded from disk) against this
 // analysis's golden run and fault model. known may be nil.
@@ -802,6 +817,7 @@ type InferOptions struct {
 type Result struct {
 	analysis *Analysis
 	builder  *boundary.Builder
+	filter   bool // the fold boundary holds: with the §3.5 filter or not
 	boundary *Boundary
 	known    *Known
 	pred     *Predictor
@@ -837,7 +853,7 @@ func (a *Analysis) InferBoundary(opts InferOptions, runOpts ...RunOption) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return a.newResult(bld, known, len(recs), recs)
+	return a.newResult(bld, opts.Filter, known, len(recs), recs)
 }
 
 // InferFromPairs runs the inference pipeline over an explicit experiment
@@ -860,7 +876,7 @@ func (a *Analysis) InferFromPairs(pairs []Pair, filter bool, opts ...RunOption) 
 	if err != nil {
 		return nil, err
 	}
-	return a.newResult(bld, known, len(recs), recs)
+	return a.newResult(bld, filter, known, len(recs), recs)
 }
 
 // GroupedPairs selects k experiments with the Relyzer-style grouping
@@ -900,15 +916,15 @@ func (a *Analysis) Progressive(opts ProgressiveOptions, runOpts ...RunOption) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := a.newResult(pres.Builder, pres.Known, pres.TotalSamples, nil)
+	res, err := a.newResult(pres.Builder, opts.Filter, pres.Known, pres.TotalSamples, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, pres.Rounds, nil
 }
 
-func (a *Analysis) newResult(bld *boundary.Builder, known *Known, samples int, recs []Record) (*Result, error) {
-	b := bld.Finalize()
+func (a *Analysis) newResult(bld *boundary.Builder, filter bool, known *Known, samples int, recs []Record) (*Result, error) {
+	b := bld.FinalizeFilter(filter)
 	pred, err := boundary.NewPredictor(b, a.golden, known)
 	if err != nil {
 		return nil, err
@@ -919,12 +935,28 @@ func (a *Analysis) newResult(bld *boundary.Builder, known *Known, samples int, r
 	return &Result{
 		analysis: a,
 		builder:  bld,
+		filter:   filter,
 		boundary: b,
 		known:    known,
 		pred:     pred,
 		samples:  samples,
 		records:  recs,
 	}, nil
+}
+
+// WithFilter returns the result with its boundary folded with the §3.5
+// filter on or off: the same samples, known table and records, and a
+// predictor over the other fold of the same masked propagation deltas.
+// Both folds are kept by every inference, so no experiment runs. For
+// InferBoundary and InferFromPairs this is exactly the result the other
+// Filter setting would have produced. For a Progressive result, sample
+// selection between rounds was still steered by the original setting,
+// so it can differ from a Progressive run with the other setting.
+func (r *Result) WithFilter(filter bool) (*Result, error) {
+	if filter == r.filter {
+		return r, nil
+	}
+	return r.analysis.newResult(r.builder, filter, r.known, r.samples, r.records)
 }
 
 // Boundary returns the inferred fault tolerance boundary.

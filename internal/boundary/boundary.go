@@ -132,7 +132,7 @@ func NonMonotonicSites(gt *campaign.GroundTruth, golden *trace.GoldenRun) (int, 
 // uncertainty metric's restriction to the sampled set.
 type Known struct {
 	bitsN int
-	kinds []uint8 // outcome.Kind + 1; 0 = unknown
+	kinds []uint8 // 2 bits per experiment: outcome.Kind + 1; 0 = unknown
 	full  []int   // per-site count of known bits
 }
 
@@ -140,9 +140,15 @@ type Known struct {
 func NewKnown(sites, bitsN int) *Known {
 	return &Known{
 		bitsN: bitsN,
-		kinds: make([]uint8, sites*bitsN),
+		kinds: make([]uint8, (sites*bitsN+3)/4),
 		full:  make([]int, sites),
 	}
+}
+
+// slot returns the byte index and bit shift of (site, bit)'s 2-bit code.
+func (k *Known) slot(site int, bit uint8) (int, uint) {
+	idx := site*k.bitsN + int(bit)
+	return idx / 4, uint(idx%4) * 2
 }
 
 // BitsN returns the number of bit positions per site.
@@ -154,11 +160,11 @@ func (k *Known) Sites() int { return len(k.full) }
 // Set records the outcome of (site, bit). Re-recording the same pair is
 // idempotent (campaigns are deterministic).
 func (k *Known) Set(site int, bit uint8, kind outcome.Kind) {
-	idx := site*k.bitsN + int(bit)
-	if k.kinds[idx] == 0 {
+	i, sh := k.slot(site, bit)
+	if k.kinds[i]>>sh&3 == 0 {
 		k.full[site]++
 	}
-	k.kinds[idx] = uint8(kind) + 1
+	k.kinds[i] = k.kinds[i]&^(3<<sh) | (uint8(kind)+1)<<sh
 }
 
 // Add records a campaign result.
@@ -166,7 +172,8 @@ func (k *Known) Add(rec campaign.Record) { k.Set(rec.Site, rec.Bit, rec.Kind) }
 
 // Get returns the recorded outcome of (site, bit) and whether one exists.
 func (k *Known) Get(site int, bit uint8) (outcome.Kind, bool) {
-	v := k.kinds[site*k.bitsN+int(bit)]
+	i, sh := k.slot(site, bit)
+	v := k.kinds[i] >> sh & 3
 	if v == 0 {
 		return 0, false
 	}

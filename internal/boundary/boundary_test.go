@@ -2,6 +2,7 @@ package boundary
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ftb/internal/bits"
@@ -163,6 +164,39 @@ func TestKnownTable(t *testing.T) {
 	}
 }
 
+// TestKnownPackedCodes: outcomes share bytes four to a byte, so setting
+// one experiment must leave every neighbour as it was, across byte
+// boundaries and an odd table size.
+func TestKnownPackedCodes(t *testing.T) {
+	const sites, bitsN = 3, 5
+	k := NewKnown(sites, bitsN)
+	want := map[[2]int]outcome.Kind{}
+	for i := 0; i < sites*bitsN; i += 2 { // every other experiment
+		site, bit := i/bitsN, i%bitsN
+		kind := outcome.Kind(i % outcome.NumKinds)
+		k.Set(site, uint8(bit), kind)
+		want[[2]int{site, bit}] = kind
+	}
+	k.Set(1, 1, outcome.Crash) // overwrite keeps the count
+	want[[2]int{1, 1}] = outcome.Crash
+	for site := 0; site < sites; site++ {
+		n := 0
+		for bit := 0; bit < bitsN; bit++ {
+			got, ok := k.Get(site, uint8(bit))
+			w, known := want[[2]int{site, bit}]
+			if ok != known || got != w {
+				t.Errorf("Get(%d, %d) = %v, %v; want %v, %v", site, bit, got, ok, w, known)
+			}
+			if known {
+				n++
+			}
+		}
+		if k.Tested(site) != n {
+			t.Errorf("Tested(%d) = %d, want %d", site, k.Tested(site), n)
+		}
+	}
+}
+
 func TestBuilderAlgorithm1(t *testing.T) {
 	// Hand-drive a builder: a masked run whose deltas are known must raise
 	// thresholds to exactly those deltas; a second masked run raises them
@@ -244,6 +278,57 @@ func TestBuilderFilterDropsAboveSDCFloor(t *testing.T) {
 	}
 	if got := b2.Finalize().Thresholds[2]; got != 3.0 {
 		t.Errorf("unfiltered threshold[2] = %g, want 3", got)
+	}
+}
+
+// TestMergeWorkersBothFolds: every worker folds each masked delta into
+// the unfiltered and the filtered thresholds, and MergeWorkers merges
+// both by max across workers, whichever fold the builder finalizes.
+func TestMergeWorkersBothFolds(t *testing.T) {
+	p := &chainProg{n: 4}
+	g := mustGolden(t, p)
+	for _, filter := range []bool{false, true} {
+		b := NewBuilder(g, filter)
+		// SDC floors: site 1 at 2.0, site 2 at 4.0; sites 0 and 3 have none.
+		b.ObserveRecord(campaign.Record{Pair: campaign.Pair{Site: 1, Bit: 50}, Kind: outcome.SDC, InjErr: 2.0})
+		b.ObserveRecord(campaign.Record{Pair: campaign.Pair{Site: 2, Bit: 50}, Kind: outcome.SDC, InjErr: 4.0})
+		run := func(w *Worker, site int, deltas ...float64) {
+			w.BeginRun(campaign.Pair{Site: site, Bit: 9})
+			for i, d := range deltas {
+				w.Observe(i, g.Trace[i], d)
+			}
+			w.EndRun(campaign.Record{Pair: campaign.Pair{Site: site, Bit: 9}, Kind: outcome.Masked, InjErr: deltas[site]})
+		}
+		w1 := b.NewWorker().(*Worker)
+		w2 := b.NewWorker().(*Worker)
+		w3 := b.NewWorker().(*Worker)
+		run(w1, 0, 1.0, 3.0, 1.0, 0.5) // site 1 above its floor
+		run(w2, 0, 2.0, 1.5, 5.0, 0.25)
+		run(w3, 0, 0.5, 2.0, 4.0, 2.0) // exactly at both floors: kept
+		if err := b.MergeWorkers([]campaign.PropagationSink{w1, w2, w3}); err != nil {
+			t.Fatal(err)
+		}
+		wantRaw := []float64{2.0, 3.0, 5.0, 2.0}
+		wantFiltered := []float64{2.0, 2.0, 4.0, 2.0}
+		for _, c := range []struct {
+			filter bool
+			want   []float64
+		}{{false, wantRaw}, {true, wantFiltered}} {
+			got := b.FinalizeFilter(c.filter).Thresholds
+			for i := range c.want {
+				if got[i] != c.want[i] {
+					t.Errorf("NewBuilder(filter=%v).FinalizeFilter(%v)[%d] = %g, want %g",
+						filter, c.filter, i, got[i], c.want[i])
+				}
+			}
+		}
+		want := wantRaw
+		if filter {
+			want = wantFiltered
+		}
+		if got := b.Finalize().Thresholds; !slices.Equal(got, want) {
+			t.Errorf("NewBuilder(filter=%v).Finalize() = %v, want %v", filter, got, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package boundary
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"ftb/internal/campaign"
 	"ftb/internal/outcome"
@@ -21,24 +22,28 @@ import (
 //  2. Run campaign.Propagate over the masked samples, handing each worker
 //     a sink from NewWorker, then call MergeWorkers. Each masked run's
 //     propagation deltas raise the per-site thresholds
-//     (Δe_j = max(Δe_j, s_i[j])); with the filter enabled, deltas above
-//     the site's known-SDC minimum are discarded.
+//     (Δe_j = max(Δe_j, s_i[j])). The Builder folds every delta twice:
+//     once unfiltered, and once with the filter, which discards deltas
+//     above the site's known-SDC minimum.
 //
-// Finalize returns the boundary; the Builder can keep absorbing further
-// rounds (progressive sampling re-enters both passes).
+// Finalize returns the boundary under the filter setting chosen at
+// NewBuilder, FinalizeFilter under either setting. The Builder can keep
+// absorbing further rounds (progressive sampling re-enters both passes).
 type Builder struct {
 	golden *trace.GoldenRun
 	filter bool
 
-	thresholds []float64
+	thresholds []float64 // every masked delta folded
+	filtered   []float64 // only deltas at or below minSDC folded (§3.5)
 	info       []int64   // significant-error observations per site
 	minSDC     []float64 // smallest known SDC injected error per site
 	reachSum   []int64   // total sites significantly perturbed, per injection site
 	reachRuns  []int64   // masked propagation runs observed, per injection site
 }
 
-// NewBuilder returns a Builder for the given golden run. filter enables
-// the §3.5 filter operation.
+// NewBuilder returns a Builder for the given golden run. filter selects
+// which fold Finalize returns: true for the one with the §3.5 filter
+// operation.
 func NewBuilder(golden *trace.GoldenRun, filter bool) *Builder {
 	n := golden.Sites()
 	minSDC := make([]float64, n)
@@ -49,6 +54,7 @@ func NewBuilder(golden *trace.GoldenRun, filter bool) *Builder {
 		golden:     golden,
 		filter:     filter,
 		thresholds: make([]float64, n),
+		filtered:   make([]float64, n),
 		info:       make([]int64, n),
 		minSDC:     minSDC,
 		reachSum:   make([]int64, n),
@@ -110,12 +116,20 @@ func (b *Builder) MeanReach() []float64 {
 	return out
 }
 
-// Finalize returns the current boundary. The thresholds slice is copied,
-// so later observations do not mutate the returned boundary.
-func (b *Builder) Finalize() *Boundary {
-	th := make([]float64, len(b.thresholds))
-	copy(th, b.thresholds)
-	return &Boundary{Thresholds: th}
+// Finalize returns the current boundary under the filter setting chosen
+// at NewBuilder. The thresholds slice is copied, so later observations
+// do not mutate the returned boundary.
+func (b *Builder) Finalize() *Boundary { return b.FinalizeFilter(b.filter) }
+
+// FinalizeFilter returns the current boundary with the §3.5 filter on or
+// off, whatever the setting chosen at NewBuilder: both folds see the same
+// masked deltas. The thresholds slice is copied.
+func (b *Builder) FinalizeFilter(filter bool) *Boundary {
+	src := b.thresholds
+	if filter {
+		src = b.filtered
+	}
+	return &Boundary{Thresholds: slices.Clone(src)}
 }
 
 // Worker is a per-goroutine propagation accumulator. It implements
@@ -127,6 +141,7 @@ type Worker struct {
 	parent *Builder
 
 	thresholds []float64
+	filtered   []float64
 	info       []int64
 	reachSum   []int64
 	reachRuns  []int64
@@ -143,6 +158,7 @@ func (b *Builder) NewWorker() campaign.PropagationSink {
 	return &Worker{
 		parent:     b,
 		thresholds: make([]float64, n),
+		filtered:   make([]float64, n),
 		info:       make([]int64, n),
 		reachSum:   make([]int64, n),
 		reachRuns:  make([]int64, n),
@@ -176,7 +192,7 @@ func (w *Worker) ObserveZeroPrefix(n int) {
 }
 
 // EndRun implements campaign.PropagationSink: commit the run's deltas if
-// it was masked.
+// it was masked, to the unfiltered and the filtered thresholds alike.
 func (w *Worker) EndRun(rec campaign.Record) {
 	if rec.Kind != outcome.Masked {
 		return
@@ -195,11 +211,11 @@ func (w *Worker) EndRun(rec campaign.Record) {
 				reach++
 			}
 		}
-		if w.parent.filter && d > minSDC[j] {
-			continue
-		}
 		if d > w.thresholds[j] {
 			w.thresholds[j] = d
+		}
+		if d <= minSDC[j] && d > w.filtered[j] {
+			w.filtered[j] = d
 		}
 	}
 	w.reachSum[rec.Site] += reach
@@ -207,7 +223,7 @@ func (w *Worker) EndRun(rec campaign.Record) {
 }
 
 // MergeWorkers folds propagation accumulators back into the Builder:
-// thresholds merge by max, information counts by sum.
+// both threshold arrays merge by max, information counts by sum.
 func (b *Builder) MergeWorkers(sinks []campaign.PropagationSink) error {
 	for _, s := range sinks {
 		w, ok := s.(*Worker)
@@ -217,11 +233,8 @@ func (b *Builder) MergeWorkers(sinks []campaign.PropagationSink) error {
 		if w.parent != b {
 			return errors.New("boundary: MergeWorkers received a worker of a different builder")
 		}
-		for i, t := range w.thresholds {
-			if t > b.thresholds[i] {
-				b.thresholds[i] = t
-			}
-		}
+		maxInto(b.thresholds, w.thresholds)
+		maxInto(b.filtered, w.filtered)
 		for i, n := range w.info {
 			b.info[i] += n
 		}
@@ -233,9 +246,18 @@ func (b *Builder) MergeWorkers(sinks []campaign.PropagationSink) error {
 	return nil
 }
 
+// maxInto raises dst[i] to src[i] wherever src is larger.
+func maxInto(dst, src []float64) {
+	for i, t := range src {
+		if t > dst[i] {
+			dst[i] = t
+		}
+	}
+}
+
 // BuildOptions configures Build.
 type BuildOptions struct {
-	// Filter enables the §3.5 filter operation.
+	// Filter selects the fold Finalize returns (see NewBuilder).
 	Filter bool
 	// Known, when non-nil, additionally receives every sample outcome
 	// (for the §4.4 fully-tested shortcut and the uncertainty metric).
@@ -267,12 +289,18 @@ func (b *Builder) Absorb(cfg campaign.Config, pairs []campaign.Pair, known *Know
 	if err != nil {
 		return nil, err
 	}
-	masked := make([]campaign.Pair, 0, len(recs))
+	n := 0
 	for _, rec := range recs {
 		b.ObserveRecord(rec)
 		if known != nil {
 			known.Add(rec)
 		}
+		if rec.Kind == outcome.Masked {
+			n++
+		}
+	}
+	masked := make([]campaign.Pair, 0, n)
+	for _, rec := range recs {
 		if rec.Kind == outcome.Masked {
 			masked = append(masked, rec.Pair)
 		}

@@ -58,9 +58,7 @@ func Ablation(s Scale) (*AblationResult, error) {
 		for trial := 0; trial < s.Trials; trial++ {
 			seed := trialSeed(s.Seed, trial)
 
-			adaptive, _, err := b.an.Progressive(ftb.ProgressiveOptions{
-				RoundFrac: 0.001, Adaptive: true, Filter: false, Seed: seed,
-			})
+			adaptive, _, err := b.progressive(adaptiveOptions(seed))
 			if err != nil {
 				return nil, err
 			}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"ftb"
-	"ftb/internal/campaign"
 	"ftb/internal/metrics"
-	"ftb/internal/rng"
 )
 
 // BaselineRow contrasts, at the same injection budget, what a traditional
@@ -52,26 +49,13 @@ func Baseline(s Scale) (*BaselineResult, error) {
 	}
 	res := &BaselineResult{}
 	for _, b := range benches {
-		prog, _, err := b.an.Progressive(ftb.ProgressiveOptions{
-			RoundFrac: 0.001,
-			Adaptive:  true,
-			Filter:    false,
-			Seed:      trialSeed(s.Seed, 0),
-		})
+		prog, _, err := b.progressive(adaptiveOptions(trialSeed(s.Seed, 0)))
 		if err != nil {
 			return nil, err
 		}
 		budget := prog.Samples()
 
-		mcCfg := campaign.Config{
-			Factory:  factoryFor(b.name, s.Size),
-			Golden:   b.an.Golden(),
-			Tol:      b.an.Tolerance(),
-			Bits:     b.an.Bits(),
-			Context:  s.Context,
-			Observer: s.Observer,
-		}
-		mc, err := campaign.MonteCarlo(mcCfg, rng.New(trialSeed(s.Seed, 1)), budget)
+		mc, err := b.an.MonteCarlo(trialSeed(s.Seed, 1), budget)
 		if err != nil {
 			return nil, err
 		}
@@ -104,17 +88,6 @@ func Baseline(s Scale) (*BaselineResult, error) {
 		})
 	}
 	return res, nil
-}
-
-// factoryFor returns a fresh-program factory for a registered kernel.
-func factoryFor(name, size string) func() ftb.Program {
-	return func() ftb.Program {
-		k, err := ftb.NewKernel(name, size)
-		if err != nil {
-			panic(err)
-		}
-		return k
-	}
 }
 
 // Render prints the comparison table.

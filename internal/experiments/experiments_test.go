@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"ftb"
+	"ftb/internal/telemetry"
 )
 
 func TestTable1ShapeHolds(t *testing.T) {
@@ -317,9 +320,14 @@ func TestSensitivityTradeoff(t *testing.T) {
 	}
 }
 
+// The tests below assert that Table 3's progressive campaigns run, and
+// runCache memoizes them per seed, so each uses a seed no other test
+// uses.
+
 func TestScaleCollectorSections(t *testing.T) {
 	col := ftb.NewCollector()
 	s := ScaleTest
+	s.Seed = 101
 	s.Collector = col
 	if _, err := Table1(s); err != nil {
 		t.Fatal(err)
@@ -338,8 +346,8 @@ func TestScaleCollectorSections(t *testing.T) {
 	if len(names) != 2 || names[0] != "table1" || names[1] != "table3" {
 		t.Errorf("sections = %v, want [table1 table3] in run order", names)
 	}
-	// Table 3's progressive campaigns always run fresh (only exhaustive
-	// ground truths are cached), so experiments must have accrued.
+	// Table 3's progressive campaigns run fresh at this seed, so
+	// experiments must have accrued.
 	if snap.Experiments == 0 {
 		t.Error("no experiments attributed to the collector")
 	}
@@ -348,10 +356,10 @@ func TestScaleCollectorSections(t *testing.T) {
 func TestScaleRunOptions(t *testing.T) {
 	var events atomic.Int64
 	s := ScaleTest
+	s.Seed = 102
 	s.RunOptions = []ftb.RunOption{ftb.WithObserver(ftb.ObserverFunc(func(ftb.ProgressEvent) { events.Add(1) }))}
-	// Table 3 always runs its progressive campaigns (only exhaustive
-	// ground truths are memoized in gtCache), so the observer must see
-	// events no matter which tests ran before this one.
+	// Table 3 runs its progressive campaigns fresh at this seed, so the
+	// observer must see events no matter which tests ran before this one.
 	if _, err := Table3(s); err != nil {
 		t.Fatal(err)
 	}
@@ -363,10 +371,10 @@ func TestScaleRunOptions(t *testing.T) {
 func TestScalePropTrace(t *testing.T) {
 	buf := ftb.NewTrajectoryBuffer()
 	s := ScaleTest
+	s.Seed = 103
 	s.PropTrace = buf
-	// Table 3's progressive campaigns always run fresh (only exhaustive
-	// ground truths are memoized in gtCache), so trajectories must accrue
-	// regardless of test ordering.
+	// Table 3's progressive campaigns run fresh at this seed, so
+	// trajectories must accrue regardless of test ordering.
 	if _, err := Table3(s); err != nil {
 		t.Fatal(err)
 	}
@@ -378,5 +386,112 @@ func TestScalePropTrace(t *testing.T) {
 		if tr.Program == "" || tr.Outcome == "" {
 			t.Fatalf("untagged trajectory: %+v", tr)
 		}
+	}
+}
+
+// sectionOf returns the named section of a collector's snapshot.
+func sectionOf(t *testing.T, col *ftb.Collector, name string) telemetry.SectionSnapshot {
+	t.Helper()
+	for _, sec := range col.Snapshot().Sections {
+		if sec.Name == name {
+			return sec
+		}
+	}
+	t.Fatalf("no section %q", name)
+	return telemetry.SectionSnapshot{}
+}
+
+// TestBaselineCountsMonteCarloRuns: Baseline's Monte Carlo campaigns run
+// with the scale's options, so its section counts them beside the
+// progressive campaigns that fix the budget.
+func TestBaselineCountsMonteCarloRuns(t *testing.T) {
+	const seed = 104
+	s := ScaleTest
+	s.Seed = seed
+	if _, err := setup(Benchmarks, s); err != nil { // ground truth outside the section
+		t.Fatal(err)
+	}
+	col := ftb.NewCollector()
+	s.Collector = col
+	res, err := Baseline(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The progressive campaigns alone, counted on a separate collector.
+	prog := ftb.NewCollector()
+	want := int64(0)
+	for _, row := range res.Rows {
+		an, err := ftb.NewKernelAnalysis(row.Name, s.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := an.Progressive(adaptiveOptions(trialSeed(seed, 0)), ftb.WithCollector(prog)); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(row.Budget)
+	}
+	want += prog.Snapshot().Experiments
+	if got := sectionOf(t, col, "baseline").Experiments; got != want {
+		t.Errorf("baseline section experiments = %d, want %d (progressive %d + Monte Carlo budgets)",
+			got, want, prog.Snapshot().Experiments)
+	}
+}
+
+// TestBaselineReusesTable3: Baseline's progressive campaign is Table 3's
+// trial 0, so after Table 3 its section holds only the Monte Carlo runs:
+// one campaign of Budget experiments per bench.
+func TestBaselineReusesTable3(t *testing.T) {
+	s := ScaleTest
+	s.Seed = 105
+	if _, err := Table3(s); err != nil {
+		t.Fatal(err)
+	}
+	col := ftb.NewCollector()
+	s.Collector = col
+	res, err := Baseline(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budgets int64
+	for _, row := range res.Rows {
+		budgets += int64(row.Budget)
+	}
+	sec := sectionOf(t, col, "baseline")
+	if sec.Campaigns != int64(len(res.Rows)) || sec.Experiments != budgets {
+		t.Errorf("baseline section: %d campaigns, %d experiments; want %d Monte Carlo campaigns of %d experiments and no progressive runs",
+			sec.Campaigns, sec.Experiments, len(res.Rows), budgets)
+	}
+}
+
+// TestCancelledCampaignNotMemoized: a campaign cancelled on the first
+// call leaves nothing in runCache, so the next call runs it, and that
+// successful run is what later calls reuse.
+func TestCancelledCampaignNotMemoized(t *testing.T) {
+	s := ScaleTest
+	s.Seed = 106
+	if _, err := setup(Benchmarks, s); err != nil { // ground truth outside the cancelled call
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := s
+	cancelled.Context = ctx
+	if _, err := Table3(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Table3 returned %v, want context.Canceled", err)
+	}
+	runs := func() int64 {
+		col := ftb.NewCollector()
+		s := s
+		s.Collector = col
+		if _, err := Table3(s); err != nil {
+			t.Fatal(err)
+		}
+		return col.Snapshot().Experiments
+	}
+	if n := runs(); n == 0 {
+		t.Error("Table3 after a cancelled call ran no experiments: the cancelled campaign was memoized")
+	}
+	if n := runs(); n != 0 {
+		t.Errorf("repeated Table3 ran %d experiments, want 0 from runCache", n)
 	}
 }

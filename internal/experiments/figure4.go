@@ -50,9 +50,8 @@ func Figure4(s Scale) (*Figure4Result, error) {
 			size = 1
 		}
 
-		uni, err := b.an.InferBoundary(ftb.InferOptions{
+		uni, err := b.infer(ftb.InferOptions{
 			SampleFrac: 0.01,
-			Filter:     false,
 			Seed:       trialSeed(s.Seed, 0),
 		})
 		if err != nil {
@@ -60,12 +59,15 @@ func Figure4(s Scale) (*Figure4Result, error) {
 		}
 		uniProfile := uni.Profile(b.gt)
 
-		prog, _, err := b.an.Progressive(ftb.ProgressiveOptions{
-			RoundFrac: 0.001,
-			Adaptive:  true,
-			Filter:    false,
-			Seed:      trialSeed(s.Seed, 1),
-		})
+		// Row 3's campaign is Table 3's and Ablation's trial 1. With a
+		// single trial nothing else runs it, so it stays out of runCache
+		// rather than hold its memory for the rest of the process.
+		var prog *ftb.Result
+		if s.Trials > 1 {
+			prog, _, err = b.progressive(adaptiveOptions(trialSeed(s.Seed, 1)))
+		} else {
+			prog, _, err = b.an.Progressive(adaptiveOptions(trialSeed(s.Seed, 1)))
+		}
 		if err != nil {
 			return nil, err
 		}

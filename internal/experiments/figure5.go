@@ -35,7 +35,8 @@ type Figure5Result struct {
 
 // Figure5 runs the §4.4 sample-size sweep: boundary quality as a function
 // of the uniform sampling rate, with the top row lacking and the bottom
-// row using the §3.5 filter operation.
+// row using the §3.5 filter operation. Both rows score the same sampled
+// campaigns, folded without and with the filter.
 func Figure5(s Scale) (*Figure5Result, error) {
 	defer s.section("figure5")()
 	return figure5At(s, Figure5Fracs)
@@ -50,34 +51,37 @@ func figure5At(s Scale, fracs []float64) (*Figure5Result, error) {
 	res := &Figure5Result{Fracs: fracs}
 	for _, b := range benches {
 		fb := Figure5Bench{Name: b.name}
-		for _, filter := range []bool{false, true} {
-			points := make([]Figure5Point, 0, len(fracs))
-			for fi, frac := range fracs {
-				var prec, rec []float64
-				for trial := 0; trial < s.Trials; trial++ {
-					r, err := b.an.InferBoundary(ftb.InferOptions{
-						SampleFrac: frac,
-						Filter:     filter,
-						Seed:       trialSeed(s.Seed, trial*len(fracs)+fi),
-					})
-					if err != nil {
-						return nil, err
-					}
-					pr := r.Evaluate(b.gt)
-					prec = append(prec, pr.Precision)
-					rec = append(rec, pr.Recall)
-				}
-				points = append(points, Figure5Point{
-					Frac:      frac,
-					Precision: stats.Summarize(prec),
-					Recall:    stats.Summarize(rec),
+		for fi, frac := range fracs {
+			// The filter changes only how masked deltas fold, so one
+			// sampled campaign per trial feeds both rows.
+			var prec, rec [2][]float64
+			for trial := 0; trial < s.Trials; trial++ {
+				r, err := b.an.InferBoundary(ftb.InferOptions{
+					SampleFrac: frac,
+					Seed:       trialSeed(s.Seed, trial*len(fracs)+fi),
 				})
+				if err != nil {
+					return nil, err
+				}
+				rf, err := r.WithFilter(true)
+				if err != nil {
+					return nil, err
+				}
+				for i, fold := range []*ftb.Result{r, rf} {
+					pr := fold.Evaluate(b.gt)
+					prec[i] = append(prec[i], pr.Precision)
+					rec[i] = append(rec[i], pr.Recall)
+				}
 			}
-			if filter {
-				fb.WithFilter = points
-			} else {
-				fb.WithoutFilter = points
+			point := func(i int) Figure5Point {
+				return Figure5Point{
+					Frac:      frac,
+					Precision: stats.Summarize(prec[i]),
+					Recall:    stats.Summarize(rec[i]),
+				}
 			}
+			fb.WithoutFilter = append(fb.WithoutFilter, point(0))
+			fb.WithFilter = append(fb.WithFilter, point(1))
 		}
 		res.Benches = append(res.Benches, fb)
 	}

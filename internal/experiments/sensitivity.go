@@ -51,7 +51,7 @@ func Sensitivity(s Scale) (*SensitivityResult, error) {
 		prec := make([][]float64, len(res.Factors))
 		rec := make([][]float64, len(res.Factors))
 		for trial := 0; trial < s.Trials; trial++ {
-			r, err := b.an.InferBoundary(ftb.InferOptions{
+			r, err := b.infer(ftb.InferOptions{
 				SampleFrac: 0.01,
 				Filter:     true,
 				Seed:       trialSeed(s.Seed, trial),

@@ -41,9 +41,8 @@ func table2At(s Scale, frac float64) (*Table2Result, error) {
 	for _, b := range benches {
 		var prec, rec, unc []float64
 		for trial := 0; trial < s.Trials; trial++ {
-			r, err := b.an.InferBoundary(ftb.InferOptions{
+			r, err := b.infer(ftb.InferOptions{
 				SampleFrac: frac,
-				Filter:     false,
 				Seed:       trialSeed(s.Seed, trial),
 			})
 			if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 
-	"ftb"
 	"ftb/internal/stats"
 )
 
@@ -37,13 +36,7 @@ func Table3(s Scale) (*Table3Result, error) {
 	for _, b := range benches {
 		var fracs, preds, rounds []float64
 		for trial := 0; trial < s.Trials; trial++ {
-			r, roundStats, err := b.an.Progressive(ftb.ProgressiveOptions{
-				RoundFrac:         0.001,
-				StopNonMaskedFrac: 0.95,
-				Adaptive:          true,
-				Filter:            false,
-				Seed:              trialSeed(s.Seed, trial),
-			})
+			r, roundStats, err := b.progressive(adaptiveOptions(trialSeed(s.Seed, trial)))
 			if err != nil {
 				return nil, err
 			}
