@@ -91,6 +91,9 @@ func (a *Analysis) clusterExhaustive(rc runConfig, prior *GroundTruth, completed
 	if rc.traceSink != nil {
 		return nil, errors.New("ftb: WithPropTrace cannot be combined with WithCluster")
 	}
+	if rc.replayOff {
+		return nil, errors.New("ftb: WithoutReplay cannot be combined with WithCluster; cluster workers always replay")
+	}
 	urls := append([]string(nil), co.Workers...)
 	if co.SelfHost > 0 {
 		if len(co.SelfHostCommand) == 0 {

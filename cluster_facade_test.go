@@ -102,6 +102,9 @@ func TestWithClusterUnsupportedMethods(t *testing.T) {
 	if _, err := an.Exhaustive(opt, WithPropTrace(NewTrajectoryBuffer())); err == nil || !strings.Contains(err.Error(), "WithPropTrace") {
 		t.Errorf("Exhaustive+PropTrace: err = %v, want combination rejection", err)
 	}
+	if _, err := an.Exhaustive(opt, WithoutReplay()); err == nil || !strings.Contains(err.Error(), "WithoutReplay") {
+		t.Errorf("Exhaustive+WithoutReplay: err = %v, want combination rejection", err)
+	}
 	if _, err := an.Exhaustive(WithCluster(ClusterOptions{SelfHost: 2})); err == nil || !strings.Contains(err.Error(), "SelfHostCommand") {
 		t.Errorf("SelfHost without command: err = %v, want SelfHostCommand requirement", err)
 	}

@@ -177,10 +177,6 @@ type execFlags struct {
 	verbose       *bool
 	serve         *string
 	noReplay      *bool
-	replayEvery   *int
-	replayPool    *int
-	replaySite    *bool
-	replayConv    *bool
 	spans         *bool
 	spansOut      *string
 	spanSample    *int
@@ -207,10 +203,6 @@ func newExecFlags(fs *flag.FlagSet) *execFlags {
 		verbose:       verboseFlag(fs),
 		serve:         serveFlag(fs),
 		noReplay:      fs.Bool("noreplay", false, "disable checkpointed prefix replay (full re-execution per experiment)"),
-		replayEvery:   fs.Int("replay-every", 0, "snapshot spacing of checkpointed replay, in sites (default 1)"),
-		replayPool:    fs.Int("replay-pool", 0, "per-worker pool of golden boundary snapshots seeding out-of-order rebuilds (0 = default capacity, negative = off)"),
-		replaySite:    fs.Bool("replay-site-snap", true, "keep the replay head snapshot at the injection site (second tier) instead of the checkpoint boundary"),
-		replayConv:    fs.Bool("replay-converge", true, "cut runs short when their state provably reconverges with the golden trace"),
 		spans:         fs.Bool("spans", false, "record a span timeline of the campaign and print the wall-clock attribution table after the run"),
 		spansOut:      fs.String("spans-out", "", "write the recorded span timeline to this file (.json = Chrome trace-event for Perfetto, otherwise JSONL); implies span recording"),
 		spanSample:    fs.Int("span-sample", 0, "record one experiment span (with typed sub-spans) per this many experiments per worker (default 64, auto-raised on very large campaigns; 1 = every experiment)"),
@@ -293,13 +285,6 @@ func (e *execFlags) options(ctx context.Context) []ftb.RunOption {
 	}
 	if *e.noReplay {
 		opts = append(opts, ftb.WithoutReplay())
-	} else if *e.replayEvery > 0 || *e.replayPool != 0 || !*e.replaySite || !*e.replayConv {
-		opts = append(opts, ftb.WithReplayOptions(ftb.ReplayOptions{
-			Every:           *e.replayEvery,
-			Pool:            *e.replayPool,
-			NoSiteSnapshots: !*e.replaySite,
-			NoConverge:      !*e.replayConv,
-		}))
 	}
 	if e.rec != nil {
 		opts = append(opts, ftb.WithSpans(ftb.SpanOptions{Recorder: e.rec, ExperimentSample: *e.spanSample}))
@@ -505,6 +490,10 @@ execution (exhaustive/infer/progressive/report/exp/trace):
   -progress                        render a live campaign progress line on
                                    stderr (phase, done/total, rate, outcomes)
   -workers N                       cap campaign parallelism (default GOMAXPROCS)
+  -noreplay                        disable checkpointed prefix replay: every
+                                   experiment re-executes its prefix (same
+                                   results; rejected with -cluster/-selfhost,
+                                   whose workers always replay)
   -metrics FILE                    write a campaign metrics snapshot ("-" for
                                    stdout): outcome counters, latency and
                                    queue-wait histograms, per-worker tallies

@@ -133,6 +133,16 @@ func TestCmdExhaustiveCancelled(t *testing.T) {
 	}
 }
 
+// TestCmdExhaustiveNoReplayClusterRejected: cluster workers always
+// replay, so -noreplay under -selfhost fails before any worker spawns
+// instead of being silently ignored.
+func TestCmdExhaustiveNoReplayClusterRejected(t *testing.T) {
+	err := cmdExhaustive(context.Background(), []string{"-kernel", "cg", "-size", "test", "-noreplay", "-selfhost", "1"})
+	if err == nil || !strings.Contains(err.Error(), "WithoutReplay cannot be combined with WithCluster") {
+		t.Errorf("exhaustive -noreplay -selfhost 1 returned %v, want the combination rejected", err)
+	}
+}
+
 func TestCmdInferProgressFlag(t *testing.T) {
 	out := capture(t, func() error {
 		return cmdInfer(context.Background(), []string{"-kernel", "stencil", "-size", "test",

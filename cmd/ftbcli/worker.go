@@ -25,9 +25,6 @@ func cmdWorker(ctx context.Context, args []string) error {
 	kernel, size := kernelFlags(fs)
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks an ephemeral port)")
 	procs := fs.Int("procs", 0, "engine parallelism per lease (default GOMAXPROCS)")
-	replayPool := fs.Int("replay-pool", 0, "per-worker pool of golden boundary snapshots per shard run (0 = default capacity, negative = off)")
-	replaySite := fs.Bool("replay-site-snap", true, "keep the replay head snapshot at the injection site instead of the checkpoint boundary")
-	replayConv := fs.Bool("replay-converge", true, "cut runs short when their state provably reconverges with the golden trace")
 	serve := serveFlag(fs)
 	verbose := verboseFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -45,15 +42,8 @@ func cmdWorker(ctx context.Context, args []string) error {
 			}
 			return k
 		},
-		Procs:      *procs,
-		Logger:     setupLogger(*verbose),
-		ReplayPool: *replayPool,
-	}
-	if !*replaySite {
-		cfg.ReplaySiteSnap = -1
-	}
-	if !*replayConv {
-		cfg.ReplayConverge = -1
+		Procs:  *procs,
+		Logger: setupLogger(*verbose),
 	}
 	if k, err := kernels.New(*kernel, *size); err == nil {
 		cfg.Width = k.Width()

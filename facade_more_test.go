@@ -234,18 +234,18 @@ func TestContextAndObserverFacade(t *testing.T) {
 		t.Errorf("observer saw %d events, phases %v; want classify+propagate", events, phases)
 	}
 
-	// Both scheduling modes agree through the facade too.
-	gtDyn, err := an.With(WithSched(SchedDynamic)).Exhaustive()
+	// Replay on and off agree through the facade too.
+	gtReplay, err := an.Exhaustive()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gtStat, err := an.With(WithSched(SchedStatic)).Exhaustive()
+	gtVanilla, err := an.With(WithoutReplay()).Exhaustive()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range gtDyn.Kinds {
-		if gtDyn.Kinds[i] != gtStat.Kinds[i] {
-			t.Fatalf("kind[%d] differs across scheduling modes", i)
+	for i := range gtReplay.Kinds {
+		if gtReplay.Kinds[i] != gtVanilla.Kinds[i] {
+			t.Fatalf("kind[%d] differs with replay off", i)
 		}
 	}
 }

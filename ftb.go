@@ -31,8 +31,9 @@
 //
 // Every campaign-running method accepts trailing RunOptions controlling
 // how its campaigns execute — cancellation (WithContext), progress
-// streaming (WithObserver), scheduling (WithSched), parallelism
-// (WithWorkers), and metrics collection (WithCollector):
+// streaming (WithObserver), parallelism (WithWorkers), checkpointed
+// replay (on unless WithoutReplay), and metrics collection
+// (WithCollector):
 //
 //	col := ftb.NewCollector()
 //	gt, err := an.Exhaustive(ftb.WithCollector(col), ftb.WithWorkers(8))
@@ -122,8 +123,6 @@ type (
 	Observer = campaign.Observer
 	// ObserverFunc adapts a function to the Observer interface.
 	ObserverFunc = campaign.ObserverFunc
-	// Sched selects the campaign scheduling mode.
-	Sched = campaign.Sched
 	// Collector is the lock-cheap campaign metrics collector: attach one
 	// with WithCollector and the engine feeds it per-run latency, outcome
 	// counters, queue wait, and per-worker experiment counts as the
@@ -197,15 +196,6 @@ func WriteTrajectoriesChromeTrace(w io.Writer, program string, ts []Trajectory) 
 // it at any time with its Snapshot method.
 func NewCollector() *Collector { return telemetry.New() }
 
-// Campaign scheduling modes.
-const (
-	// SchedDynamic feeds workers from a shared queue in small batches
-	// (the default; crash-heavy regions cannot stall the pool).
-	SchedDynamic = campaign.SchedDynamic
-	// SchedStatic pre-partitions experiments into contiguous chunks.
-	SchedStatic = campaign.SchedStatic
-)
-
 // Outcome kinds.
 const (
 	Masked = outcome.Masked
@@ -264,31 +254,26 @@ func RunInjectDiff(ctx *Ctx, p Program, golden *GoldenRun, site int, bit uint, s
 // adjust: everything that changes how a campaign runs without changing
 // what it computes.
 type runConfig struct {
-	ctx         context.Context
-	observer    Observer
-	sched       Sched
-	workers     int
-	collector   *telemetry.Collector
-	traceSink   proptrace.Sink
-	traceOpts   proptrace.Options
-	logger      *slog.Logger
-	cluster     *ClusterOptions
-	store       *Store          // nil = no durable ground-truth store
-	replayOff   bool            // checkpointed replay is on unless opted out
-	replayEvery int             // snapshot spacing in sites; 0 = campaign default
-	replayPool  int             // pooled boundary snapshots; 0 = default, < 0 = off
-	replaySite  int             // per-site second tier; 0 = default on, < 0 = off
-	replayConv  int             // reconvergence early exit; 0 = default on, < 0 = off
-	sections    []Section       // nil = the program's declared layout
-	compose     *ComposeOptions // nil = full-suffix execution
-	spans       *SpanRecorder   // nil = no span tracing
-	spanParent  uint64          // root campaign span ID, set per call
-	spanSample  int             // experiment sampling stride; 0 = default
-	model       bits.FaultModel // zero value = single-bit flip
+	ctx        context.Context
+	observer   Observer
+	workers    int
+	collector  *telemetry.Collector
+	traceSink  proptrace.Sink
+	traceOpts  proptrace.Options
+	logger     *slog.Logger
+	cluster    *ClusterOptions
+	store      *Store          // nil = no durable ground-truth store
+	replayOff  bool            // checkpointed replay is on unless opted out
+	sections   []Section       // nil = the program's declared layout
+	compose    *ComposeOptions // nil = full-suffix execution
+	spans      *SpanRecorder   // nil = no span tracing
+	spanParent uint64          // root campaign span ID, set per call
+	spanSample int             // experiment sampling stride; 0 = default
+	model      bits.FaultModel // zero value = single-bit flip
 }
 
 // RunOption adjusts the execution of the campaigns behind one call —
-// cancellation, progress observation, scheduling, parallelism, and
+// cancellation, progress observation, parallelism, replay, and
 // telemetry. Every campaign-running method (Exhaustive,
 // ExhaustiveCheckpointed, InferBoundary, InferFromPairs, Progressive,
 // RunPairs) accepts a trailing list of them; Analysis.With applies them
@@ -309,11 +294,6 @@ func WithContext(ctx context.Context) RunOption {
 // synchronously from campaign workers).
 func WithObserver(obs Observer) RunOption {
 	return func(rc *runConfig) { rc.observer = obs }
-}
-
-// WithSched selects the campaign scheduling mode (default SchedDynamic).
-func WithSched(s Sched) RunOption {
-	return func(rc *runConfig) { rc.sched = s }
 }
 
 // WithWorkers caps campaign parallelism (default GOMAXPROCS, at most
@@ -354,76 +334,17 @@ func WithPropTraceOptions(sink TrajectorySink, o TrajectoryOptions) RunOption {
 	}
 }
 
-// WithReplay sets the checkpoint spacing of checkpointed prefix replay,
-// in sites: an experiment injecting at site s resumes from a kernel
-// snapshot taken at the boundary s − s%every instead of re-executing the
-// prefix from the program entry. Replay is enabled by default (with
-// spacing 1, a snapshot at every site); WithReplay is for tuning the
-// spacing when kernel state is large relative to per-site store cost.
-// Classification results are byte-identical with or without replay —
-// only wall-clock changes. Programs that do not implement
-// trace.Snapshotter silently keep the full-execution path. every must be
-// at least 1; an invalid spacing surfaces as the campaign's error.
-func WithReplay(every int) RunOption {
-	return func(rc *runConfig) {
-		rc.replayOff = false
-		rc.replayEvery = every
-	}
-}
-
 // WithoutReplay disables checkpointed prefix replay for the call's
 // campaigns: every experiment re-executes its golden prefix from the
-// program entry. Results are identical to the replay path; use this to
+// program entry. Replay is on by default — a snapshot at every
+// injection site, a pool of golden snapshots, and the reconvergence
+// early exit, each where the program implements the matching trace
+// interface. Results are identical to the replay path; use this to
 // benchmark the speedup or to exclude the snapshot machinery when
-// auditing a kernel's Snapshotter implementation.
+// auditing a kernel's Snapshotter implementation. Cluster workers always
+// replay, so WithoutReplay cannot be combined with WithCluster.
 func WithoutReplay() RunOption {
 	return func(rc *runConfig) { rc.replayOff = true }
-}
-
-// ReplayOptions tunes the two-tier replay cache beyond the checkpoint
-// spacing WithReplay controls. The zero value is the default
-// configuration (all tiers on); each field opts a tier out or resizes
-// it. Every combination is byte-identical in classification results —
-// the options trade memory and bookkeeping for restore cost.
-type ReplayOptions struct {
-	// Every is the tier-1 checkpoint spacing in sites (see WithReplay);
-	// 0 keeps the campaign default of 1.
-	Every int
-	// Pool sizes the per-worker pool of golden boundary snapshots that
-	// seeds rebuilds when a worker's head snapshot is behind or past the
-	// target (dynamic scheduling handing it an out-of-order batch). 0
-	// keeps the default capacity, negative disables the pool — which
-	// also disables reconvergence probing, since probes compare against
-	// pooled golden states. Kernels without multi-snapshot support
-	// never pool regardless.
-	Pool int
-	// NoSiteSnapshots disables the second tier: the head snapshot stays
-	// at the experiment's checkpoint boundary instead of following the
-	// injection site, so each experiment re-executes boundary→site.
-	NoSiteSnapshots bool
-	// NoConverge disables the reconvergence early exit: runs whose
-	// state provably rejoins the golden trace stop being cut short and
-	// always execute their full suffix.
-	NoConverge bool
-}
-
-// WithReplayOptions enables checkpointed replay with explicit cache
-// tuning. WithReplay(n) is equivalent to
-// WithReplayOptions(ReplayOptions{Every: n}).
-func WithReplayOptions(o ReplayOptions) RunOption {
-	return func(rc *runConfig) {
-		rc.replayOff = false
-		rc.replayEvery = o.Every
-		rc.replayPool = o.Pool
-		rc.replaySite = 0
-		if o.NoSiteSnapshots {
-			rc.replaySite = -1
-		}
-		rc.replayConv = 0
-		if o.NoConverge {
-			rc.replayConv = -1
-		}
-	}
 }
 
 // WithLogger attaches a structured event log to the call's campaigns:
@@ -494,7 +415,6 @@ type Analysis struct {
 	tol      float64
 	bits     int
 	width    int
-	batch    int
 	declared []Section // the program's declared section layout, if any
 	run      runConfig
 }
@@ -513,12 +433,6 @@ type Options struct {
 	// Workers caps campaign parallelism (default GOMAXPROCS, at most
 	// campaign.MaxWorkers).
 	Workers int
-	// Sched selects the campaign scheduling mode (default SchedDynamic).
-	Sched Sched
-	// Batch is the campaign scheduling granularity in experiments
-	// (default 32): the size of a dynamic queue claim, and the
-	// cancellation-check and progress-event interval.
-	Batch int
 	// Context, when non-nil, cancels campaigns started through the
 	// Analysis: they return the context's error promptly without leaking
 	// goroutines. Equivalent to the WithContext RunOption.
@@ -570,12 +484,10 @@ func NewAnalysis(factory func() Program, tol float64, opts Options) (*Analysis, 
 		tol:      tol,
 		bits:     bits,
 		width:    width,
-		batch:    opts.Batch,
 		declared: declared,
 		run: runConfig{
 			ctx:      opts.Context,
 			observer: opts.Observer,
-			sched:    opts.Sched,
 			workers:  opts.Workers,
 		},
 	}, nil
@@ -670,8 +582,6 @@ func (a *Analysis) configFrom(rc runConfig) campaign.Config {
 		Width:     a.width,
 		Model:     rc.model,
 		Workers:   rc.workers,
-		Sched:     rc.sched,
-		Batch:     a.batch,
 		Context:   rc.ctx,
 		Observer:  rc.observer,
 		Collector: rc.collector,
@@ -679,14 +589,10 @@ func (a *Analysis) configFrom(rc runConfig) campaign.Config {
 		// The facade enables checkpointed replay by default — it never
 		// changes results, and kernels that cannot snapshot fall back to
 		// vanilla execution on their own.
-		Replay:         !rc.replayOff,
-		ReplayEvery:    rc.replayEvery,
-		ReplayPool:     rc.replayPool,
-		ReplaySiteSnap: rc.replaySite,
-		ReplayConverge: rc.replayConv,
-		Spans:          rc.spans,
-		SpanParent:     rc.spanParent,
-		SpanSample:     rc.spanSample,
+		Replay:     !rc.replayOff,
+		Spans:      rc.spans,
+		SpanParent: rc.spanParent,
+		SpanSample: rc.spanSample,
 	}
 	if rc.traceSink != nil {
 		sink, o := rc.traceSink, rc.traceOpts

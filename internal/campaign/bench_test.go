@@ -12,8 +12,8 @@ import (
 // flipping the top exponent bit (62) makes most runs blow up and crash
 // shortly after the injection site, so an experiment's cost is roughly
 // proportional to its site index. In ascending site order, static
-// chunking hands the first worker the cheapest contiguous block and the
-// last worker the most expensive one; the dynamic queue rebalances.
+// chunking would hand the first worker the cheapest contiguous block and
+// the last worker the most expensive one; the dynamic queue rebalances.
 func benchCrashHeavyPairs(sites int) []Pair {
 	pairs := make([]Pair, 0, sites)
 	for s := 0; s < sites; s++ {
@@ -22,7 +22,7 @@ func benchCrashHeavyPairs(sites int) []Pair {
 	return pairs
 }
 
-func benchConfig(b *testing.B, sched Sched, workers int) Config {
+func benchConfig(b *testing.B, workers int) Config {
 	b.Helper()
 	k, err := kernels.New("cg", kernels.SizeSmall)
 	if err != nil {
@@ -43,30 +43,27 @@ func benchConfig(b *testing.B, sched Sched, workers int) Config {
 		Golden:  g,
 		Tol:     k.Tolerance(),
 		Workers: workers,
-		Sched:   sched,
 		Batch:   8,
 	}
 }
 
-// BenchmarkScheduling contrasts static chunking with the dynamic queue on
-// the crash-heavy CG workload (see results_extra.txt for recorded runs).
-// On a single-core host both modes execute the same total work, so ns/op
-// mainly shows that the dynamic queue costs nothing; the load-balance
-// advantage itself is what BenchmarkSchedulingImbalance measures.
+// BenchmarkScheduling times the dynamic queue on the crash-heavy CG
+// workload (see results_extra.txt for recorded runs). On a single-core
+// host ns/op mainly shows that the queue costs nothing; the load-balance
+// advantage over static chunking is what BenchmarkSchedulingMakespan
+// simulates.
 func BenchmarkScheduling(b *testing.B) {
 	for _, workers := range []int{4, 8} {
-		for _, sched := range []Sched{SchedStatic, SchedDynamic} {
-			b.Run(fmt.Sprintf("%v/workers=%d", sched, workers), func(b *testing.B) {
-				cfg := benchConfig(b, sched, workers)
-				pairs := benchCrashHeavyPairs(cfg.Golden.Sites())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := RunPairs(cfg, pairs); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("dynamic/workers=%d", workers), func(b *testing.B) {
+			cfg := benchConfig(b, workers)
+			pairs := benchCrashHeavyPairs(cfg.Golden.Sites())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunPairs(cfg, pairs); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -83,17 +80,18 @@ func (s *costSink) Observe(int, float64, float64) { s.cur++ }
 func (s *costSink) EndRun(rec Record)             { s.costs[rec.Site] = s.cur }
 
 // BenchmarkSchedulingMakespan measures every experiment's true cost, then
-// replays both scheduling disciplines over those costs with each worker
+// replays static chunking and the dynamic queue over those costs with each worker
 // advancing at its own pace — exactly the engine's behaviour when workers
 // run on real parallel cores. It reports the resulting makespans (in
 // store-executions) and "speedup": static makespan over dynamic makespan,
-// i.e. the wall-clock factor the dynamic queue wins on a multi-core host.
+// i.e. the wall-clock factor the dynamic queue wins on a multi-core host —
+// the record of why the engine has no static mode.
 // (On this package's single-core CI box BenchmarkScheduling's ns/op can't
 // show the gap — total work per core is identical — which is why the
 // makespan is simulated from measured costs instead.)
 func BenchmarkSchedulingMakespan(b *testing.B) {
 	const workers = 4
-	cfg := benchConfig(b, SchedDynamic, 1)
+	cfg := benchConfig(b, 1)
 	pairs := benchCrashHeavyPairs(cfg.Golden.Sites())
 	costs := make([]int, cfg.Golden.Sites())
 	var static, dynamic float64

@@ -6,13 +6,13 @@
 // Campaigns are embarrassingly parallel and run on the package's
 // execution engine (engine.go): a context-aware dispatcher that feeds a
 // goroutine worker pool from a shared work queue in small batches
-// (dynamic scheduling; see Sched). Each worker owns a private program
-// instance (kernels keep mutable work buffers) and a private trace
-// context; results are merged in input order, so campaign output is
-// byte-identical regardless of GOMAXPROCS, worker count, or scheduling
-// mode. Campaigns are cancellable through Config.Context, observable
-// through Config.Observer, and propagate the first worker error
-// uniformly from every entry point.
+// (dynamic scheduling). Each worker owns a private program instance
+// (kernels keep mutable work buffers) and a private trace context;
+// results are merged in input order, so campaign output is
+// byte-identical regardless of GOMAXPROCS, worker count, or batch size.
+// Campaigns are cancellable through Config.Context, observable through
+// Config.Observer, and propagate the first worker error uniformly from
+// every entry point.
 package campaign
 
 import (
@@ -65,10 +65,6 @@ const (
 	// cancellation and progress stay responsive, large enough that queue
 	// contention is negligible next to a program execution.
 	DefaultBatch = 32
-	// DefaultReplayEvery is the snapshot spacing (in sites) used when
-	// Config.Replay is on and ReplayEvery is zero: one checkpoint per
-	// site-prefix boundary, the densest (and fastest) policy.
-	DefaultReplayEvery = 1
 )
 
 // Config describes the campaign target.
@@ -97,13 +93,9 @@ type Config struct {
 	// Workers caps the pool size (default runtime.GOMAXPROCS(0), at most
 	// MaxWorkers).
 	Workers int
-	// Sched selects the work-distribution strategy (default
-	// SchedDynamic). Identical configs produce identical results under
-	// either mode; only wall-clock time differs.
-	Sched Sched
 	// Batch is the scheduling granularity in experiments (default
-	// DefaultBatch): the size of a dynamic queue claim, and the
-	// cancellation-check and progress-event interval in both modes.
+	// DefaultBatch): the size of a queue claim, and the
+	// cancellation-check and progress-event interval.
 	Batch int
 	// Context, when non-nil, cancels the campaign: entry points return
 	// the context's error promptly (within one in-flight experiment per
@@ -135,41 +127,17 @@ type Config struct {
 	Tracer func(worker int) Tracer
 	// Replay enables checkpointed prefix replay: a worker whose program
 	// implements trace.Snapshotter snapshots the kernel state at the
-	// injection site's prefix boundary and replays every experiment at
-	// that site from the snapshot, instead of re-executing the prefix
-	// from the program entry. Classification output is byte-identical to
-	// a vanilla campaign; only execution cost changes. Programs that do
-	// not implement Snapshotter fall back to the vanilla path silently.
+	// injection site and replays every experiment at that site from the
+	// snapshot, instead of re-executing the prefix from the program
+	// entry. Programs implementing trace.MultiSnapshotter also get a
+	// pool of golden snapshots seeding out-of-order rebuilds; with
+	// trace.StateComparer, untraced runs that provably reconverge with
+	// the golden trace stop early; with trace.DeltaSnapshotter, restores
+	// copy back only the dirtied interval. Classification output is
+	// byte-identical to a vanilla campaign; only execution cost changes.
+	// Programs that do not implement Snapshotter fall back to the vanilla
+	// path silently.
 	Replay bool
-	// ReplayEvery is the snapshot spacing in sites when Replay is on
-	// (default DefaultReplayEvery): an experiment at site s resumes from
-	// the boundary s − s%ReplayEvery. 1 checkpoints every site; larger
-	// values trade replayed stores for fewer snapshot copies, which can
-	// win when kernel state is large relative to the per-site store cost.
-	ReplayEvery int
-	// ReplayPool bounds the per-worker pool of golden boundary snapshots
-	// kept alongside the moving head snapshot (programs implementing
-	// trace.MultiSnapshotter only). The pool seeds rebuilds when dynamic
-	// scheduling hands a worker a batch behind its head, and provides the
-	// comparison targets for reconvergence probes. 0 selects
-	// DefaultReplayPool; negative disables the pool.
-	ReplayPool int
-	// ReplaySiteSnap controls second-tier per-site snapshots: when on,
-	// the worker advances once from the prefix boundary to the injection
-	// site, snapshots there, and every experiment at that site restores
-	// with zero re-executed stores. 0 (the default) enables them;
-	// negative keeps the head at the boundary only.
-	ReplaySiteSnap int
-	// ReplayConverge controls the reconvergence early-exit: untraced
-	// replay experiments on programs implementing trace.StateComparer
-	// track their deviation from the golden trace and, at a quiet pooled
-	// boundary whose live state compares bit-identical to the pooled
-	// golden state, return the golden output immediately instead of
-	// executing the suffix. Classification is byte-identical either way
-	// (bit-equality of the full state plus fixed control flow imply the
-	// remaining stores replay the golden run exactly). 0 (the default)
-	// enables it; negative disables. Requires the pool.
-	ReplayConverge int
 	// Logger, when non-nil, receives the engine's structured event log:
 	// campaign start/stop, resumes, and trace-mismatch aborts, at
 	// conventional slog levels (Debug for lifecycle, Warn for aborts).
@@ -243,9 +211,6 @@ func (c *Config) normalized() (Config, error) {
 	if out.Workers > MaxWorkers {
 		return out, fmt.Errorf("campaign: workers %d above limit %d", out.Workers, MaxWorkers)
 	}
-	if out.Sched != SchedDynamic && out.Sched != SchedStatic {
-		return out, fmt.Errorf("campaign: unknown scheduling mode %d", out.Sched)
-	}
 	if out.Batch == 0 {
 		out.Batch = DefaultBatch
 		if out.Replay {
@@ -258,12 +223,6 @@ func (c *Config) normalized() (Config, error) {
 	}
 	if out.Batch < 1 {
 		return out, fmt.Errorf("campaign: batch %d must be positive", out.Batch)
-	}
-	if out.ReplayEvery == 0 {
-		out.ReplayEvery = DefaultReplayEvery
-	}
-	if out.ReplayEvery < 1 {
-		return out, fmt.Errorf("campaign: replay spacing %d must be positive", out.ReplayEvery)
 	}
 	if out.Context == nil {
 		out.Context = context.Background()
@@ -338,7 +297,7 @@ func newPairWorker(cfg Config, w int, rec *telemetry.CampaignRecorder, sp *obs.W
 	}
 	if cfg.Replay {
 		if s, ok := pw.p.(trace.Snapshotter); ok {
-			pw.replay = newReplayCache(cfg, s)
+			pw.replay = newReplayCache(cfg.Golden.Sites(), s)
 		}
 	}
 	return pw
@@ -346,9 +305,9 @@ func newPairWorker(cfg Config, w int, rec *telemetry.CampaignRecorder, sp *obs.W
 
 // chargeRestore records one prepared experiment's restore accounting:
 // the typed obs sub-span (started at t) and the telemetry tier counters.
-// Tier-1 and tier-2 hits count as snapshot hits; pool-seeded and
-// golden-prefix rebuilds as misses, preserving the coarse hit/miss split
-// alongside the finer attribution.
+// Site-snapshot hits count as the second tier (the first, boundary tier
+// of the telemetry schema is never charged); pool-seeded and
+// golden-prefix rebuilds count as misses.
 func chargeRestore(rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans, worker int, t int64, pr prep) {
 	cat := obs.CatRestore
 	switch pr.tier {
@@ -364,8 +323,6 @@ func chargeRestore(rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans, worker 
 		return
 	}
 	switch pr.tier {
-	case tierBoundary:
-		rec.RestoreTier1(worker)
 	case tierSite:
 		rec.RestoreTier2(worker)
 	case tierPool:

@@ -342,7 +342,7 @@ func ComposedExhaustive(cfg Config, opts ComposeOptions) (*GroundTruth, *Compose
 		if s, ok := cw.p.(trace.Snapshotter); ok {
 			cw.canTail = true
 			if cfg.Replay {
-				cw.replay = newReplayCache(cfg, s)
+				cw.replay = newReplayCache(cfg.Golden.Sites(), s)
 			}
 		}
 		return cw

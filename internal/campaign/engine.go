@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -15,40 +14,9 @@ import (
 	"ftb/internal/trace"
 )
 
-// Sched selects how a campaign's experiments are distributed across the
-// worker pool.
-type Sched uint8
-
-const (
-	// SchedDynamic (the default) feeds workers from a shared queue in
-	// Batch-sized claims. Injected runs vary wildly in cost — a crash
-	// aborts a run at the faulting store, so crash-heavy regions finish
-	// orders of magnitude faster than full masked runs — and dynamic
-	// claims keep every worker busy until the queue drains.
-	SchedDynamic Sched = iota
-	// SchedStatic partitions the experiments into one contiguous chunk
-	// per worker up front (the pre-engine behaviour). It needs no
-	// cross-worker coordination but load-imbalances badly when
-	// per-experiment cost varies; it is kept for benchmarking the
-	// difference and as a degenerate fallback.
-	SchedStatic
-)
-
-// String implements fmt.Stringer.
-func (s Sched) String() string {
-	switch s {
-	case SchedDynamic:
-		return "dynamic"
-	case SchedStatic:
-		return "static"
-	default:
-		return fmt.Sprintf("Sched(%d)", uint8(s))
-	}
-}
-
 // Event is a progress snapshot of a running campaign. Events are emitted
-// after every completed scheduling batch, sequentially (never two at
-// once), with monotonically non-decreasing Done and Frontier.
+// after every completed batch, sequentially (never two at once), with
+// monotonically non-decreasing Done and Frontier.
 type Event struct {
 	// Phase names the campaign stage emitting the event: "classify"
 	// (RunPairs), "propagate" (Propagate), or "exhaustive".
@@ -140,7 +108,7 @@ func (p *progress) rangeDone(lo, hi int, c outcome.Counts) error {
 // against that state and returns the outcome kind for progress
 // accounting. Results must be written by index into caller-owned storage,
 // which keeps campaign output in input order — and therefore byte-
-// identical — regardless of worker count or scheduling mode.
+// identical — regardless of worker count or batch size.
 //
 // onRange (optional) is called, serialized, after every completed batch
 // [lo, hi), in completion order; an error from it, like an error from
@@ -177,7 +145,7 @@ func runEngine[S any](cfg Config, phase string, n int,
 	traced := cfg.Tracer != nil
 	logger.Debug("campaign start",
 		"phase", phase, "experiments", n, "workers", workers,
-		"sched", cfg.Sched.String(), "batch", batch, "traced", traced)
+		"batch", batch, "traced", traced)
 
 	// The telemetry recorder rides alongside the Observer path: the
 	// Observer streams coarse per-batch progress events, the recorder
@@ -217,9 +185,8 @@ func runEngine[S any](cfg Config, phase string, n int,
 		})
 	}
 
-	// next is the dynamic-scheduling queue head, in batches.
+	// next is the shared queue head, in batches.
 	var next atomic.Int64
-	chunk := (n + workers - 1) / workers // static chunk size
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -236,21 +203,12 @@ func runEngine[S any](cfg Config, phase string, n int,
 			ws := cfg.Spans.Worker(phaseSpan.ID(), w, obs.EffectiveSample(n, cfg.SpanSample))
 			defer ws.Finish()
 			s := setup(w, rec, ws)
-			// Static mode walks the worker's own contiguous chunk in
-			// batch-sized steps; dynamic mode claims batches off the
-			// shared queue head. The steps bound cancellation latency
-			// and progress granularity in both modes.
-			cursor := w * chunk
-			limit := min(cursor+chunk, n)
+			// Workers claim batches off the shared queue head: injected
+			// runs vary wildly in cost (a crash aborts at the faulting
+			// store), so claims keep every worker busy until the queue
+			// drains. The batch size bounds cancellation latency and
+			// progress granularity.
 			claim := func() (lo, hi int, ok bool) {
-				if cfg.Sched == SchedStatic {
-					if cursor >= limit {
-						return 0, 0, false
-					}
-					lo, hi = cursor, min(cursor+batch, limit)
-					cursor = hi
-					return lo, hi, true
-				}
 				b := int(next.Add(1)) - 1
 				if b >= nBatches {
 					return 0, 0, false

@@ -53,8 +53,8 @@ func (nopSink) BeginRun(Pair)                 {}
 func (nopSink) Observe(int, float64, float64) {}
 func (nopSink) EndRun(Record)                 {}
 
-// TestDeterminismMatrix is the satellite-2 guarantee: identical configs
-// produce byte-identical records for every worker count × scheduling mode.
+// TestDeterminismMatrix: identical configs produce byte-identical records
+// for every worker count, with ragged final batches.
 func TestDeterminismMatrix(t *testing.T) {
 	base := chainConfig(6, 1e-9, 1)
 	pairs := AllPairs(base.Golden.Sites(), 64) // mixed outcomes: mantissa + exponent bits
@@ -70,24 +70,22 @@ func TestDeterminismMatrix(t *testing.T) {
 		t.Fatalf("workload not mixed: %v", kinds)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		for _, sched := range []Sched{SchedDynamic, SchedStatic} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.Sched = sched
-			cfg.Batch = 5 // force ragged final batches
-			got, err := RunPairs(cfg, pairs)
-			if err != nil {
-				t.Fatalf("workers=%d sched=%v: %v", workers, sched, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d sched=%v: records differ from 1-worker baseline", workers, sched)
-			}
+		cfg := base
+		cfg.Workers = workers
+		cfg.Batch = 5 // force ragged final batches
+		got, err := RunPairs(cfg, pairs)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: records differ from 1-worker baseline", workers)
 		}
 	}
 }
 
 // TestExhaustiveDeterminismAcrossSched checks the same guarantee end to
-// end through the exhaustive campaign's GroundTruth.
+// end through the exhaustive campaign's GroundTruth: which worker claims
+// which batch varies with the worker count, the outcome does not.
 func TestExhaustiveDeterminismAcrossSched(t *testing.T) {
 	base := chainConfig(5, 1e-9, 1)
 	base.Bits = 16
@@ -96,18 +94,15 @@ func TestExhaustiveDeterminismAcrossSched(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		for _, sched := range []Sched{SchedDynamic, SchedStatic} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.Sched = sched
-			cfg.Batch = 3
-			got, err := Exhaustive(cfg)
-			if err != nil {
-				t.Fatalf("workers=%d sched=%v: %v", workers, sched, err)
-			}
-			if !reflect.DeepEqual(got.Kinds, want.Kinds) {
-				t.Errorf("workers=%d sched=%v: ground truth differs", workers, sched)
-			}
+		cfg := base
+		cfg.Workers = workers
+		cfg.Batch = 3
+		got, err := Exhaustive(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got.Kinds, want.Kinds) {
+			t.Errorf("workers=%d: ground truth differs", workers)
 		}
 	}
 }
@@ -269,7 +264,6 @@ func TestEngineConfigValidation(t *testing.T) {
 	cases := map[string]func(Config) Config{
 		"workers over limit": func(c Config) Config { c.Workers = MaxWorkers + 1; return c },
 		"negative batch":     func(c Config) Config { c.Batch = -1; return c },
-		"unknown sched":      func(c Config) Config { c.Sched = Sched(99); return c },
 	}
 	for name, mutate := range cases {
 		if _, err := RunPairs(mutate(good), AllPairs(4, 4)); err == nil {
@@ -283,16 +277,6 @@ func TestEngineConfigValidation(t *testing.T) {
 	bad = []Pair{{Site: 99, Bit: 0}}
 	if _, err := RunPairs(good, bad); err == nil {
 		t.Error("out-of-range site accepted")
-	}
-}
-
-// TestSchedString pins the debugging names.
-func TestSchedString(t *testing.T) {
-	if SchedDynamic.String() != "dynamic" || SchedStatic.String() != "static" {
-		t.Errorf("got %v/%v", SchedDynamic, SchedStatic)
-	}
-	if Sched(7).String() != "Sched(7)" {
-		t.Errorf("got %v", Sched(7))
 	}
 }
 

@@ -35,8 +35,7 @@ func kernelConfig(t *testing.T, name string, m bits.FaultModel) Config {
 }
 
 // TestFaultModelCampaignDeterministic: ground truth under a non-default
-// fault model is byte-identical across worker counts, scheduling, and
-// replay on/off — the same invariant the single-flip campaign guarantees.
+// fault model is byte-identical across worker counts and replay on/off — the same invariant the single-flip campaign guarantees.
 func TestFaultModelCampaignDeterministic(t *testing.T) {
 	model := bits.FaultModel{Kind: bits.FaultBurstFlip, K: 3}
 	base := kernelConfig(t, "stencil", model)
@@ -53,16 +52,14 @@ func TestFaultModelCampaignDeterministic(t *testing.T) {
 		name    string
 		workers int
 		replay  bool
-		sched   Sched
 	}{
-		{"workers4", 4, false, SchedDynamic},
-		{"workers7-static", 7, false, SchedStatic},
-		{"replay", 3, true, SchedDynamic},
+		{"workers4", 4, false},
+		{"workers7", 7, false},
+		{"replay", 3, true},
 	} {
 		cfg := base
 		cfg.Workers = v.workers
 		cfg.Replay = v.replay
-		cfg.Sched = v.sched
 		gt, err := Exhaustive(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)

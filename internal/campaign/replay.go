@@ -4,9 +4,8 @@ import (
 	"ftb/internal/trace"
 )
 
-// DefaultReplayPool is the default size of the per-worker pool of golden
-// boundary snapshots kept alongside the moving head snapshot (see
-// Config.ReplayPool). 64 entries of a paper-size kernel state are on the
+// DefaultReplayPool is the size of the per-worker pool of golden
+// boundary snapshots kept alongside the moving head snapshot. 64 entries of a paper-size kernel state are on the
 // order of a megabyte per worker — small next to the golden-prefix
 // re-execution the pool avoids.
 const DefaultReplayPool = 64
@@ -21,12 +20,9 @@ const (
 	// tierNone: the experiment runs from the program entry (prefix
 	// boundary 0); no snapshot is consulted and nothing is charged.
 	tierNone restoreTier = iota
-	// tierBoundary is a first-tier hit: the held snapshot sits exactly at
-	// the experiment's prefix boundary and was restored as-is.
-	tierBoundary
-	// tierSite is a second-tier hit: the held snapshot sits exactly at
-	// the injection site (per-site snapshots on), so the restore skips
-	// even the boundary→site gap.
+	// tierSite is a snapshot hit: the held snapshot sits exactly at the
+	// injection site and was restored as-is, so the experiment
+	// re-executes no prefix store at all.
 	tierSite
 	// tierPool: the head snapshot was unusable (typically a backward jump
 	// under dynamic scheduling) and the rebuild was seeded from the
@@ -34,7 +30,7 @@ const (
 	tierPool
 	// tierMiss: the rebuild ran the golden prefix forward — from the held
 	// snapshot when it was behind the target, else from the program
-	// entry — because neither snapshot tier nor the pool covered it.
+	// entry — because neither the head nor the pool covered it.
 	tierMiss
 )
 
@@ -47,18 +43,11 @@ type prep struct {
 	delta  bool
 }
 
-// hit reports whether the prefix was served entirely from a held
-// snapshot (the coarse hit/miss split the original single-slot cache
-// exposed; pool-seeded and golden-prefix rebuilds are both misses).
-func (p prep) hit() bool { return p.tier == tierBoundary || p.tier == tierSite }
-
 // replayCache is one worker's checkpointed-replay state, two-tiered:
 //
-//   - The head snapshot moves with the campaign: at the experiment's
-//     prefix boundary (tier 1), or — when per-site snapshots are on and
-//     the kernel supports multiple live snapshots — at the injection
-//     site itself (tier 2), so the Bits experiments of one site all
-//     restore with zero re-executed stores between boundary and site.
+//   - The head snapshot moves with the campaign and sits at the
+//     injection site itself, so the Bits experiments of one site all
+//     restore with zero re-executed prefix stores.
 //   - A bounded pool of golden boundary snapshots, precomputed on first
 //     use by one golden pass, seeds rebuilds whose target is behind or
 //     far ahead of the head (dynamic scheduling handing a worker an
@@ -67,7 +56,8 @@ func (p prep) hit() bool { return p.tier == tierBoundary || p.tier == tierSite }
 //
 // Kernels that only implement the single-buffer trace.Snapshotter keep
 // the head (Snapshot invalidates prior States, so no pool); kernels
-// implementing trace.MultiSnapshotter get both tiers. A kernel that
+// implementing trace.MultiSnapshotter get both tiers, and reconvergence
+// probes when they also implement trace.StateComparer. A kernel that
 // additionally implements trace.DeltaSnapshotter restores the head by
 // copying back only the store interval the previous run dirtied.
 type replayCache struct {
@@ -75,9 +65,7 @@ type replayCache struct {
 	multi trace.MultiSnapshotter // nil: single-buffer kernel, head only
 	delta trace.DeltaSnapshotter // nil: full-copy restores
 
-	every    int  // tier-1 boundary spacing in sites (≥ 1)
-	siteSnap bool // tier 2: keep the head at the site, not the boundary
-	sites    int  // golden trace length (pool layout and converge probes)
+	sites int // golden trace length (pool layout and converge probes)
 
 	// Head snapshot: prefix length `cached` (-1 when empty) and its
 	// state buffer. On the multi path the buffer is owned by the cache
@@ -98,7 +86,7 @@ type replayCache struct {
 
 	// Pool of golden boundary snapshots at prefixes poolStep, 2·poolStep,
 	// …, len(pool)·poolStep (all ≤ sites-1), built lazily by one golden
-	// advance pass. poolCap ≤ 0 disables the pool.
+	// advance pass. poolCap is 0 (no pool) on single-buffer kernels.
 	poolCap   int
 	poolStep  int
 	pool      []trace.State
@@ -122,31 +110,22 @@ const (
 	convReprobeEvery = 32
 )
 
-// newReplayCache builds a worker's cache from the normalized campaign
-// config. s must be cfg.Factory()'s instance for this worker.
-func newReplayCache(cfg Config, s trace.Snapshotter) *replayCache {
+// newReplayCache builds a worker's cache for a golden trace of the given
+// length. s must be the Factory instance this worker runs.
+func newReplayCache(sites int, s trace.Snapshotter) *replayCache {
 	rc := &replayCache{
 		snap:       s,
-		every:      cfg.ReplayEvery,
-		sites:      cfg.Golden.Sites(),
+		sites:      sites,
 		cached:     -1,
 		lastResume: -1,
 	}
 	if m, ok := s.(trace.MultiSnapshotter); ok {
 		rc.multi = m
-		if cfg.ReplayPool >= 0 {
-			rc.poolCap = cfg.ReplayPool
-			if rc.poolCap == 0 {
-				rc.poolCap = DefaultReplayPool
-			}
-		}
+		rc.poolCap = DefaultReplayPool
 		if d, ok := s.(trace.DeltaSnapshotter); ok {
 			rc.delta = d
 		}
-	}
-	rc.siteSnap = cfg.ReplaySiteSnap >= 0
-	if _, ok := s.(trace.StateComparer); ok {
-		rc.conv = cfg.ReplayConverge >= 0 && rc.poolCap > 0
+		_, rc.conv = s.(trace.StateComparer)
 	}
 	return rc
 }
@@ -194,18 +173,14 @@ func (rc *replayCache) restoreHead() bool {
 
 // buildPool runs one golden pass over the trace, snapshotting every
 // poolStep-th prefix boundary into its own buffer. The spacing is the
-// smallest multiple of `every` that keeps the pool within poolCap
-// entries. On return the live state holds the last pooled prefix; the
+// smallest that keeps the pool within poolCap entries. On return the live state holds the last pooled prefix; the
 // caller's rebuild logic picks it (or a pooled ancestor) up from there.
 func (rc *replayCache) buildPool(ctx *trace.Ctx) error {
 	rc.poolBuilt = true
 	if rc.multi == nil || rc.poolCap <= 0 || rc.sites <= 1 {
 		return nil
 	}
-	step := rc.every
-	if n := (rc.sites - 1) / step; n > rc.poolCap {
-		step *= (n + rc.poolCap - 1) / rc.poolCap
-	}
+	step := (rc.sites - 2 + rc.poolCap) / rc.poolCap // ⌈(sites-1)/poolCap⌉
 	n := (rc.sites - 1) / step
 	if n == 0 {
 		return nil
@@ -264,7 +239,7 @@ func (rc *replayCache) convergeSchedule(site int, bit uint) (first, step int, ok
 		return 0, 0, false
 	}
 	if int(bit) < len(rc.convFails) && rc.convFails[bit] >= convFailLimit &&
-		(site/rc.every)%convReprobeEvery != 0 {
+		site%convReprobeEvery != 0 {
 		return 0, 0, false
 	}
 	first = (site/rc.poolStep + 1) * rc.poolStep
@@ -295,7 +270,7 @@ func (rc *replayCache) convergeResult(bit uint, res trace.InjectResult) {
 // accounting. On return the live state holds exactly the prefix
 // [0, resume) — restored, delta-restored, or produced by running the
 // golden prefix — so the caller can launch the injection run
-// immediately. A zero target means the experiment runs from the program
+// immediately. A zero site means the experiment runs from the program
 // entry and no snapshot is consulted.
 func (rc *replayCache) prepare(ctx *trace.Ctx, site int) (prep, error) {
 	// Fold the previous run's store extent into the live-vs-head dirty
@@ -310,57 +285,49 @@ func (rc *replayCache) prepare(ctx *trace.Ctx, site int) (prep, error) {
 			return prep{}, err
 		}
 	}
-	target := site
-	if !rc.siteSnap {
-		target = site - site%rc.every
-	}
-	if target == 0 {
+	if site == 0 {
 		rc.lastResume = 0
 		return prep{}, nil
 	}
-	if rc.cached == target {
+	if rc.cached == site {
 		// Hit: the held snapshot is exactly this experiment's prefix.
-		tier := tierBoundary
-		if rc.siteSnap {
-			tier = tierSite
-		}
 		usedDelta := rc.restoreHead()
-		rc.lastResume = target
-		return prep{resume: target, tier: tier, delta: usedDelta}, nil
+		rc.lastResume = site
+		return prep{resume: site, tier: tierSite, delta: usedDelta}, nil
 	}
 	// Rebuild: seed from the deepest usable prefix at or below the
-	// target — the held head when it is behind the target, a pooled
-	// golden boundary when that gets closer (or when the target is
-	// behind the head: dynamic scheduling handing this worker an
-	// earlier batch), else the program entry.
+	// site — the held head when it is behind the site, a pooled golden
+	// boundary when that gets closer (or when the site is behind the
+	// head: dynamic scheduling handing this worker an earlier batch),
+	// else the program entry.
 	base := 0
-	fromHead := rc.cached > 0 && rc.cached < target
+	fromHead := rc.cached > 0 && rc.cached < site
 	if fromHead {
 		base = rc.cached
 	}
 	tier := tierMiss
-	if pb, pi := rc.poolBase(target); pb > base {
+	if pb, pi := rc.poolBase(site); pb > base {
 		rc.snap.Restore(rc.pool[pi])
 		base, fromHead = pb, false
 		tier = tierPool
 	} else if fromHead {
 		rc.restoreHead()
 	}
-	if base < target {
-		if err := trace.Advance(ctx, rc.snap, base, target); err != nil {
+	if base < site {
+		if err := trace.Advance(ctx, rc.snap, base, site); err != nil {
 			rc.drop()
 			return prep{}, err
 		}
 	}
-	// The live state now holds exactly [0, target); the snapshot copy
+	// The live state now holds exactly [0, site); the snapshot copy
 	// doubles as the restore for the run that follows.
 	if rc.multi != nil {
 		rc.state = rc.multi.SnapshotInto(rc.state)
 	} else {
 		rc.state = rc.snap.Snapshot()
 	}
-	rc.cached = target
+	rc.cached = site
 	rc.dirtyFrom, rc.dirtyTo = 0, 0
-	rc.lastResume = target
-	return prep{resume: target, tier: tier}, nil
+	rc.lastResume = site
+	return prep{resume: site, tier: tier}, nil
 }

@@ -46,16 +46,18 @@ func (p *poolProg) SnapshotInto(dst trace.State) trace.State {
 	return buf
 }
 
-// poolCacheConfig builds the minimal normalized config a replayCache
-// needs: golden trace, dense boundaries, and a small pool so the
-// pool-step arithmetic (39 prefixes / cap 8 → step 5) is exercised.
-func poolCacheConfig(t *testing.T, n int) Config {
+// newPoolCache builds p's replayCache over the golden trace of an
+// n-store poolProg, with a small pool so the pool-step arithmetic
+// (39 prefixes / cap 8 → step 5) is exercised.
+func newPoolCache(t *testing.T, n int, p *poolProg) *replayCache {
 	t.Helper()
 	golden, err := trace.Golden(newPoolProg(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{Golden: golden, ReplayEvery: 1, ReplayPool: 8}
+	rc := newReplayCache(golden.Sites(), p)
+	rc.poolCap = 8
+	return rc
 }
 
 // TestReplayCachePoolServesBackwardTarget pins the pool tier: after the
@@ -66,9 +68,8 @@ func poolCacheConfig(t *testing.T, n int) Config {
 // restore must classify byte-identically to a from-scratch run.
 func TestReplayCachePoolServesBackwardTarget(t *testing.T) {
 	const n = 40
-	cfg := poolCacheConfig(t, n)
 	p := newPoolProg(n)
-	rc := newReplayCache(cfg, p)
+	rc := newPoolCache(t, n, p)
 	var ctx trace.Ctx
 
 	pr, err := rc.prepare(&ctx, 30)
@@ -105,12 +106,12 @@ func TestReplayCachePoolServesBackwardTarget(t *testing.T) {
 		}
 	}
 
-	// The rebuilt head is now a second-tier hit for the site's next bit.
+	// The rebuilt head is now a site-snapshot hit for the site's next bit.
 	pr, err = rc.prepare(&ctx, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.tier != tierSite || !pr.hit() {
+	if pr.tier != tierSite {
 		t.Fatalf("repeat prepare tier = %d, want tierSite hit", pr.tier)
 	}
 }
@@ -122,9 +123,8 @@ func TestReplayCachePoolServesBackwardTarget(t *testing.T) {
 // cache must recover once the program behaves again.
 func TestReplayCacheDropsStateOnAdvanceError(t *testing.T) {
 	const n = 40
-	cfg := poolCacheConfig(t, n)
 	p := newPoolProg(n)
-	rc := newReplayCache(cfg, p)
+	rc := newPoolCache(t, n, p)
 	var ctx trace.Ctx
 
 	if _, err := rc.prepare(&ctx, 7); err != nil {
@@ -165,10 +165,9 @@ func TestReplayCacheDropsStateOnAdvanceError(t *testing.T) {
 // the error must surface to the caller.
 func TestReplayCacheDropsStateOnPoolBuildError(t *testing.T) {
 	const n = 40
-	cfg := poolCacheConfig(t, n)
 	p := newPoolProg(n)
 	p.n = 3 // too short for even the first pooled boundary at 5
-	rc := newReplayCache(cfg, p)
+	rc := newPoolCache(t, n, p)
 	var ctx trace.Ctx
 
 	if _, err := rc.prepare(&ctx, 2); err == nil {
@@ -185,7 +184,7 @@ func TestReplayCacheDropsStateOnPoolBuildError(t *testing.T) {
 // 0) count against their fault coordinate until it disarms, crashes are
 // neutral, and a proven reconvergence re-arms it.
 func TestConvergePolicyDisarmsNonConverging(t *testing.T) {
-	rc := &replayCache{conv: true, every: 1, poolStep: 5, pool: make([]trace.State, 7)}
+	rc := &replayCache{conv: true, poolStep: 5, pool: make([]trace.State, 7)}
 	const site, bit = 3, 9 // not a re-probe site: 3 % convReprobeEvery != 0
 	for i := 0; i < convFailLimit; i++ {
 		if _, _, ok := rc.convergeSchedule(site, bit); !ok {

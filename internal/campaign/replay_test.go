@@ -17,8 +17,7 @@ import (
 // every registered kernel — both element widths, crash-heavy kernels
 // (cholesky's sqrt of corrupted negatives) included — an exhaustive
 // campaign with checkpointed replay must produce a ground truth
-// byte-identical to the vanilla full-execution campaign, under both
-// scheduling modes.
+// byte-identical to the vanilla full-execution campaign.
 func TestReplayMatrixByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kernel matrix in -short mode")
@@ -52,95 +51,62 @@ func TestReplayMatrixByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sched := range []campaign.Sched{campaign.SchedDynamic, campaign.SchedStatic} {
-				cfg := base
-				cfg.Replay = true
-				cfg.Sched = sched
-				got, err := campaign.Exhaustive(cfg)
-				if err != nil {
-					t.Fatalf("sched %v: %v", sched, err)
-				}
-				if len(got.Kinds) != len(want.Kinds) {
-					t.Fatalf("sched %v: %d records, want %d", sched, len(got.Kinds), len(want.Kinds))
-				}
-				for i := range want.Kinds {
-					if got.Kinds[i] != want.Kinds[i] {
-						t.Fatalf("sched %v: record %d (site %d, bit %d) = %v, want %v",
-							sched, i, i/cfg.Width, i%cfg.Width, got.Kinds[i], want.Kinds[i])
-					}
+			cfg := base
+			cfg.Replay = true
+			got, err := campaign.Exhaustive(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Kinds) != len(want.Kinds) {
+				t.Fatalf("%d records, want %d", len(got.Kinds), len(want.Kinds))
+			}
+			for i := range want.Kinds {
+				if got.Kinds[i] != want.Kinds[i] {
+					t.Fatalf("record %d (site %d, bit %d) = %v, want %v",
+						i, i/cfg.Width, i%cfg.Width, got.Kinds[i], want.Kinds[i])
 				}
 			}
 		})
 	}
 }
 
-// TestReplaySpacingByteIdentical checks the periodic-checkpoint variant:
-// coarser snapshot spacing changes only which boundary each experiment
-// resumes from, never the classification.
-func TestReplaySpacingByteIdentical(t *testing.T) {
-	k, err := kernels.New("cg", kernels.SizeTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := trace.Golden(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := campaign.Config{
-		Factory: func() trace.Program {
-			kk, err := kernels.New("cg", kernels.SizeTest)
-			if err != nil {
-				panic(err)
-			}
-			return kk
-		},
-		Golden:  golden,
-		Tol:     k.Tolerance(),
-		Bits:    8, // trimmed fault population keeps the matrix quick
-		Workers: 2,
-	}
-	want, err := campaign.Exhaustive(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, every := range []int{1, 7, 64} {
-		cfg := base
-		cfg.Replay = true
-		cfg.ReplayEvery = every
-		got, err := campaign.Exhaustive(cfg)
-		if err != nil {
-			t.Fatalf("every=%d: %v", every, err)
-		}
-		for i := range want.Kinds {
-			if got.Kinds[i] != want.Kinds[i] {
-				t.Fatalf("every=%d: record %d = %v, want %v", every, i, got.Kinds[i], want.Kinds[i])
-			}
-		}
-	}
-}
+// snapOnly exposes a kernel as a plain trace.Snapshotter: the replay
+// cache keeps only its head snapshot (no pool, no converge exit, no
+// delta restore).
+type snapOnly struct{ trace.Snapshotter }
 
-// TestReplayFeatureTogglesByteIdentical walks the tentpole's feature
-// toggles — snapshot pool, per-site second tier, reconvergence early
-// exit — over the delta-restore kernels at both element widths (stencil
-// is float64, stencil32 float32) plus a dense non-delta kernel, and
-// requires every combination to reproduce the vanilla ground truth
-// byte for byte. Each toggle changes only where a prefix comes from or
-// when a run is allowed to stop early, never what gets classified.
-// The propagate phase holds Propagate to the same bar: a seeded
-// two-pass inference must merge into the same boundary.Builder state
-// (thresholds, information counts, reach) as without replay.
+// multiOnly exposes a kernel as a trace.MultiSnapshotter without
+// StateComparer or DeltaSnapshotter: the cache pools golden snapshots
+// but never arms the converge exit and always restores in full.
+type multiOnly struct{ trace.MultiSnapshotter }
+
+// TestReplayFeatureTogglesByteIdentical walks the replay cache's
+// capability-driven paths — snapshot pool, reconvergence early exit,
+// delta restore — by hiding kernel capabilities behind wrappers, over
+// the delta-restore kernels at both element widths (stencil is float64,
+// stencil32 float32) plus a dense non-delta kernel, and requires every
+// combination to reproduce the vanilla ground truth byte for byte. Each
+// capability changes only where a prefix comes from or when a run is
+// allowed to stop early, never what gets classified. The propagate
+// phase holds Propagate to the same bar: a seeded two-pass inference
+// must merge into the same boundary.Builder state (thresholds,
+// information counts, reach) as without replay. Each wrapper must also
+// keep its hidden paths silent in the replay telemetry.
 func TestReplayFeatureTogglesByteIdentical(t *testing.T) {
 	toggles := []struct {
 		name string
-		mut  func(*campaign.Config)
+		wrap func(trace.Program) trace.Program
+		// off sums the replay counters the wrapper must leave at zero.
+		off func(telemetry.ReplayCounts) int64
 	}{
-		{"default", func(*campaign.Config) {}},
-		{"no-pool", func(c *campaign.Config) { c.ReplayPool = -1 }},
-		{"no-site-snap", func(c *campaign.Config) { c.ReplaySiteSnap = -1 }},
-		{"no-converge", func(c *campaign.Config) { c.ReplayConverge = -1 }},
-		{"all-off", func(c *campaign.Config) {
-			c.ReplayPool, c.ReplaySiteSnap, c.ReplayConverge = -1, -1, -1
-		}},
+		{"default", func(p trace.Program) trace.Program { return p },
+			func(r telemetry.ReplayCounts) int64 { return r.Tier1Hits }},
+		{"snapshotter", func(p trace.Program) trace.Program { return snapOnly{p.(trace.Snapshotter)} },
+			func(r telemetry.ReplayCounts) int64 {
+				return r.Tier1Hits + r.PoolHits + r.ConvergeExits + r.DeltaRestores
+			}},
+		{"multi-no-compare", func(p trace.Program) trace.Program { return multiOnly{p.(trace.MultiSnapshotter)} },
+			func(r telemetry.ReplayCounts) int64 { return r.Tier1Hits + r.ConvergeExits + r.DeltaRestores }},
 	}
 	for _, name := range []string{"stencil", "stencil32", "cg"} {
 		t.Run(name, func(t *testing.T) {
@@ -159,10 +125,15 @@ func TestReplayFeatureTogglesByteIdentical(t *testing.T) {
 			wantB := inferState(t, base, pairs)
 			for _, tg := range toggles {
 				cfg := kernelConfig(t, name, 2)
-				tg.mut(&cfg)
+				factory, wrap := cfg.Factory, tg.wrap
+				cfg.Factory = func() trace.Program { return wrap(factory()) }
+				cfg.Collector = telemetry.New()
 				got, err := campaign.Exhaustive(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", tg.name, err)
+				}
+				if r := cfg.Collector.Snapshot().Replay; tg.off(r) != 0 {
+					t.Fatalf("%s: hidden replay path ran: %+v", tg.name, r)
 				}
 				for i := range want.Kinds {
 					if got.Kinds[i] != want.Kinds[i] {

@@ -222,7 +222,8 @@ func TestSpawnWorkerFailures(t *testing.T) {
 // BENCH_cluster.json; gated by `make bench-check`). The campaign is
 // sized (16 bits, ~6.7k experiments) so the fixed per-campaign HTTP
 // costs amortize the way they do in real runs; tiny campaigns would
-// measure connection setup, not steady-state sharding.
+// measure connection setup, not steady-state sharding. Both sides
+// replay (cluster workers always do), so the ratio isolates the tax.
 func BenchmarkClusterOverhead(b *testing.B) {
 	const name, bits = "cg", 16
 	factory := testFactory(b, name)
@@ -240,6 +241,7 @@ func BenchmarkClusterOverhead(b *testing.B) {
 				Tol:     tol,
 				Bits:    bits,
 				Workers: 2,
+				Replay:  true,
 			}); err != nil {
 				b.Fatal(err)
 			}

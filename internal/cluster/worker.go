@@ -58,13 +58,6 @@ type WorkerConfig struct {
 	// Logger receives lease lifecycle events (Debug) and rejected
 	// requests (Warn). Nil discards.
 	Logger *slog.Logger
-	// ReplayPool, ReplaySiteSnap and ReplayConverge tune the two-tier
-	// replay cache of each shard run, with campaign.Config's convention:
-	// zero keeps the default (on), negative opts the tier out. They
-	// never change lease results — only shard wall-clock.
-	ReplayPool     int
-	ReplaySiteSnap int
-	ReplayConverge int
 }
 
 // Worker serves fault-injection leases for one program over HTTP.
@@ -260,12 +253,9 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		// per-worker snapshot cache is reused within the lease exactly as
 		// in a single-process campaign. Non-Snapshotter factories fall
 		// back to vanilla execution.
-		Replay:         true,
-		ReplayPool:     w.cfg.ReplayPool,
-		ReplaySiteSnap: w.cfg.ReplaySiteSnap,
-		ReplayConverge: w.cfg.ReplayConverge,
-		Spans:          spans,
-		SpanSample:     req.SpanSample,
+		Replay:     true,
+		Spans:      spans,
+		SpanSample: req.SpanSample,
 	}, pairs, "exhaustive")
 	if err != nil {
 		status := http.StatusInternalServerError

@@ -50,13 +50,12 @@ const (
 	// Meta is the experiment index.
 	CatExperiment
 	// CatRestore is the checkpoint-restore prefix of a sampled
-	// experiment served by a first-tier boundary snapshot hit (or, for a
-	// replay-less prepare, the no-op entry path). Meta is the resume
-	// site.
+	// experiment served by a first-tier boundary snapshot hit (no longer
+	// produced by the campaign cache) or, at resume site 0, the no-op
+	// entry path. Meta is the resume site.
 	CatRestore
 	// CatRestoreSite is a second-tier restore: the held per-site
-	// snapshot served the prefix, including the boundary→site gap. Meta
-	// is the resume site.
+	// snapshot served the prefix. Meta is the resume site.
 	CatRestoreSite
 	// CatRestorePool is a snapshot rebuild seeded from a pooled golden
 	// boundary snapshot (typically a backward batch jump under dynamic

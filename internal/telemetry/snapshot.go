@@ -40,8 +40,9 @@ type Snapshot struct {
 // ReplayCounts is the checkpointed-replay accounting of campaigns run
 // with Replay enabled. Every prepared experiment lands in exactly one of
 // the four restore-attribution buckets: a first-tier boundary-snapshot
-// hit, a second-tier per-site-snapshot hit, a rebuild seeded from the
-// pooled golden boundary snapshots, or a golden-prefix rebuild (miss).
+// hit (no longer produced, so Tier1Hits reads 0), a second-tier
+// per-site-snapshot hit, a rebuild seeded from the pooled golden
+// boundary snapshots, or a golden-prefix rebuild (miss).
 // SnapshotHits and SnapshotMisses keep the coarse split (hits =
 // tier 1 + tier 2, misses = pool + prefix misses). DeltaRestores counts
 // head restores served by the kernel's dirty-interval delta path;

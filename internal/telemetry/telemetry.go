@@ -199,9 +199,11 @@ type phaseStats struct {
 	wallNanos   Counter
 	// Checkpointed-replay accounting (campaigns run with Replay enabled).
 	// Every prepared experiment is charged to exactly one restore tier:
-	// a first-tier boundary-snapshot hit, a second-tier per-site-snapshot
-	// hit, a rebuild seeded from a pooled golden boundary snapshot, or a
-	// golden-prefix rebuild (miss). deltaRestores counts head restores
+	// a second-tier per-site-snapshot hit, a rebuild seeded from a pooled
+	// golden boundary snapshot, or a golden-prefix rebuild (miss).
+	// snapTier1 (boundary-snapshot hits) has no producer since the
+	// campaign cache always holds its head at the site; it stays so
+	// absorbed snapshots and the metrics schema keep the bucket. deltaRestores counts head restores
 	// served by the kernel's dirty-interval delta path; convergeExits
 	// counts runs cut short by a proven reconvergence, with the suffix
 	// stores they skipped in convergeStores. storesSkipped totals the
@@ -370,15 +372,8 @@ func (r *CampaignRecorder) Wait(worker int, d time.Duration) {
 // different, or non-data-oblivious, program).
 func (r *CampaignRecorder) Mismatch() { r.ph.mismatches.Inc() }
 
-// RestoreTier1 records that the given worker served an experiment's
-// prefix from its held boundary snapshot (first-tier hit).
-func (r *CampaignRecorder) RestoreTier1(worker int) {
-	r.ph.snapTier1.add(worker&stripeMask, 1)
-}
-
 // RestoreTier2 records that the given worker served an experiment's
-// prefix from its held per-site snapshot (second-tier hit: the restore
-// covered the boundary→site gap too).
+// prefix from its held per-site snapshot (second-tier hit).
 func (r *CampaignRecorder) RestoreTier2(worker int) {
 	r.ph.snapTier2.add(worker&stripeMask, 1)
 }

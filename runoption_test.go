@@ -108,7 +108,7 @@ func TestWithObserverAndWorkersOptions(t *testing.T) {
 	a := runOptionAnalysis(t)
 	var events atomic.Int64
 	obs := ObserverFunc(func(ProgressEvent) { events.Add(1) })
-	if _, err := a.Exhaustive(WithObserver(obs), WithWorkers(2), WithSched(SchedStatic)); err != nil {
+	if _, err := a.Exhaustive(WithObserver(obs), WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
 	if events.Load() == 0 {
