@@ -17,8 +17,9 @@ GATE = -gate -runs $(GATE_RUNS) -max-cv $(GATE_MAX_CV)
 # windows (measured on the 1-core reference box), so the default must
 # sit above that band; tighten it (GATE_THRESHOLD=0.25) on quiet
 # dedicated hardware. Ratio-based gates (the obs overhead ceiling, the
-# in-bench cluster-tax and compose bounds) are measured within one run
-# and stay tight regardless.
+# replay speedup floor and the in-bench compose bound) are measured
+# within one run and stay tight regardless. The cluster tax (selfhost1
+# over inprocess, recorded at 1.54x) is not ratio-gated.
 GATE_THRESHOLD ?= 0.60
 # REPLAY_SPEEDUP_MIN is the relative-speedup floor the replay suite must
 # clear: checkpointed replay at least this many times faster than
@@ -97,7 +98,9 @@ bench-proptrace:
 
 # bench-cluster records the coordinator tax: one exhaustive campaign
 # in-process versus through a single self-hosted worker process. The
-# selfhost1 figure must stay within ~10% of inprocess.
+# recorded selfhost1/inprocess ratio is 1.54 (median ns/op of three runs
+# each, BENCH_cluster.json). No gate bounds that ratio: bench-check
+# compares each side's ns/op with its own recording only.
 bench-cluster:
 	$(GO) test -run '^$$' -bench BenchmarkClusterOverhead -benchtime=50x -count=$(GATE_RUNS) ./internal/cluster/ | tee BENCH_cluster.txt | $(GO) run ./cmd/benchjson $(GATE) > BENCH_cluster.json
 	@echo "wrote BENCH_cluster.txt and BENCH_cluster.json"

@@ -114,25 +114,14 @@ func (a *Analysis) clusterExhaustive(rc runConfig, prior *GroundTruth, completed
 		co.OnWorkers(append([]string(nil), urls...))
 	}
 	res, err := cluster.Exhaustive(cluster.Config{
+		Campaign:          a.configFrom(rc),
 		Workers:           urls,
-		Golden:            a.golden,
 		Program:           a.name,
-		Tol:               a.tol,
-		Bits:              a.bitsFor(rc),
-		Width:             a.width,
-		Model:             rc.model,
 		ShardSize:         co.ShardSize,
 		LeaseTimeout:      co.LeaseTimeout,
 		MaxWorkerFailures: co.MaxWorkerFailures,
 		MaxLeaseAttempts:  co.MaxLeaseAttempts,
 		Backoff:           co.Backoff,
-		Context:           rc.ctx,
-		Observer:          rc.observer,
-		Collector:         rc.collector,
-		Logger:            rc.logger,
-		Spans:             rc.spans,
-		SpanParent:        rc.spanParent,
-		SpanSample:        rc.spanSample,
 		Prior:             prior,
 		Completed:         completed,
 		OnShard:           onShard,

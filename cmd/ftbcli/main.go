@@ -1092,11 +1092,10 @@ func cmdExp(ctx context.Context, args []string) error {
 		return err
 	}
 	defer exec.end()
-	// The campaigns take every exec flag through options; Context and
-	// Observer also reach the harness's direct campaign calls, and
-	// Collector opens the per-table telemetry sections.
-	scale := experiments.Scale{Size: *size, Trials: *trials, Seed: *seed, Context: ctx,
-		Observer: exec.observer(), RunOptions: exec.options(ctx), Collector: exec.col}
+	// The campaigns take every exec flag through RunOptions; Collector
+	// also opens the per-table telemetry sections.
+	scale := experiments.Scale{Size: *size, Trials: *trials, Seed: *seed,
+		RunOptions: exec.options(ctx), Collector: exec.col}
 
 	type runner struct {
 		name string

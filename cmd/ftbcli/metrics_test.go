@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -197,37 +200,89 @@ func TestCmdExhaustivePprofFlags(t *testing.T) {
 	}
 }
 
+// expSeed is the last seed TestCmdExpHonoursExecFlags passed to exp.
+var expSeed = 200
+
 // TestCmdExpHonoursExecFlags: exp takes its campaign options from the
-// shared exec flags, so -noreplay must leave the metrics snapshot with
-// zero replay restores, where the default run restores from snapshots.
+// shared exec flags through Scale.RunOptions alone, so every flag routed
+// there must reach its campaigns: -noreplay leaves zero replay restores
+// where the default run restores from snapshots, -workers 1 leaves one
+// worker in the per-worker counts, -spans explains part of the wall
+// clock, -progress draws a progress line and -v logs campaign starts.
 // The experiments package memoizes sampling campaigns per seed within
-// one process, so each call passes a seed no other call uses and runs
-// its table2 campaigns fresh.
+// one process, so each call passes a seed no other call uses (expSeed
+// persists across -count repetitions) and runs its table2 campaigns
+// fresh.
 func TestCmdExpHonoursExecFlags(t *testing.T) {
-	seed := 200
-	restores := func(extra ...string) int64 {
-		seed++
-		path := filepath.Join(t.TempDir(), "metrics.json")
+	// A default pool larger than one worker, so a dropped -workers shows
+	// even on a one-CPU machine.
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	exp := func(extra ...string) (stdout, stderr string, snap ftb.MetricsSnapshot) {
+		t.Helper()
+		expSeed++
+		seed := expSeed
+		dir := t.TempDir()
+		path := filepath.Join(dir, "metrics.json")
 		args := append([]string{"table2", "-size", "test", "-trials", "1", "-seed", fmt.Sprint(seed), "-metrics", path}, extra...)
-		capture(t, func() error { return cmdExp(context.Background(), args) })
+		errFile, err := os.Create(filepath.Join(dir, "stderr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldErr := os.Stderr
+		os.Stderr = errFile
+		stdout = capture(t, func() error { return cmdExp(context.Background(), args) })
+		os.Stderr = oldErr
+		errFile.Close()
+		errBytes, err := os.ReadFile(errFile.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snap ftb.MetricsSnapshot
 		if err := json.Unmarshal(data, &snap); err != nil {
 			t.Fatal(err)
 		}
 		if snap.Phases["classify"].Experiments == 0 {
 			t.Fatalf("exp %v ran no classify experiments; the check would be vacuous", extra)
 		}
+		return stdout, string(errBytes), snap
+	}
+	restores := func(snap ftb.MetricsSnapshot) int64 {
 		r := snap.Replay
 		return r.Tier1Hits + r.Tier2Hits + r.PoolHits + r.PrefixMisses
 	}
-	if n := restores("-noreplay"); n != 0 {
-		t.Errorf("exp -noreplay restored %d times, want 0", n)
+
+	if _, _, snap := exp("-noreplay"); restores(snap) != 0 {
+		t.Errorf("exp -noreplay restored %d times, want 0", restores(snap))
 	}
-	if n := restores(); n == 0 {
+	_, stderr, snap := exp()
+	if restores(snap) == 0 {
 		t.Error("default exp run restored nothing")
+	}
+	if strings.Contains(stderr, "campaign start") || strings.Contains(stderr, "classify ") {
+		t.Errorf("default exp run wrote progress or debug records to stderr:\n%s", stderr)
+	}
+
+	if _, _, snap := exp("-workers", "1"); len(snap.Workers) != 1 {
+		t.Errorf("exp -workers 1: per-worker counts %+v, want exactly one worker", snap.Workers)
+	}
+
+	stdout, _, _ := exp("-spans")
+	m := regexp.MustCompile(`spans explain ([0-9.]+)% of worker time`).FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("exp -spans printed no attribution table:\n%s", stdout)
+	}
+	if pct, err := strconv.ParseFloat(m[1], 64); err != nil || pct <= 0 {
+		t.Errorf("exp -spans: spans explain %s%%, want more than 0%%", m[1])
+	}
+
+	if _, stderr, _ := exp("-progress"); !regexp.MustCompile(`classify \d+/\d+`).MatchString(stderr) {
+		t.Errorf("exp -progress drew no progress line on stderr:\n%s", stderr)
+	}
+	if _, stderr, _ := exp("-v"); !strings.Contains(stderr, "campaign start") {
+		t.Errorf("exp -v logged no campaign start record on stderr:\n%s", stderr)
 	}
 }

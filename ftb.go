@@ -40,9 +40,11 @@
 //	col.Snapshot().WriteJSON(os.Stdout)
 //
 // Analysis.With applies RunOptions persistently to a copy of the
-// Analysis. RunOptions are the only way to configure a run: the
-// per-knob clone methods and InferOptions override fields that predated
-// them have been removed.
+// Analysis. RunOptions are the only way to configure a run: Options
+// describes just the program's fault space (Bits, Width), and no other
+// struct re-declares a RunOption's hook. Every campaign the call starts
+// — classification, the propagate pass of inference, cluster shards —
+// receives the same resolved configuration.
 //
 // # Compositional section campaigns
 //
@@ -419,7 +421,9 @@ type Analysis struct {
 	run      runConfig
 }
 
-// Options tweaks an Analysis.
+// Options describes the program's fault space. How campaigns run —
+// workers, cancellation, observation — is set with RunOptions, per call
+// or persistently through Analysis.With.
 type Options struct {
 	// Bits is the flips-per-site count (default Width). Values below the
 	// width restrict the fault model to the low-order bits of the
@@ -430,18 +434,6 @@ type Options struct {
 	// programs instrumented with Ctx.Store (the default), 32 for programs
 	// instrumented with Ctx.Store32.
 	Width int
-	// Workers caps campaign parallelism (default GOMAXPROCS, at most
-	// campaign.MaxWorkers).
-	Workers int
-	// Context, when non-nil, cancels campaigns started through the
-	// Analysis: they return the context's error promptly without leaking
-	// goroutines. Equivalent to the WithContext RunOption.
-	Context context.Context
-	// Observer, when non-nil, receives progress events from running
-	// campaigns. Callbacks must be cheap and non-blocking (they are
-	// invoked synchronously from campaign workers). Equivalent to the
-	// WithObserver RunOption.
-	Observer Observer
 }
 
 // NewAnalysis builds an Analysis for a program. factory must return
@@ -485,11 +477,6 @@ func NewAnalysis(factory func() Program, tol float64, opts Options) (*Analysis, 
 		bits:     bits,
 		width:    width,
 		declared: declared,
-		run: runConfig{
-			ctx:      opts.Context,
-			observer: opts.Observer,
-			workers:  opts.Workers,
-		},
 	}, nil
 }
 
@@ -602,7 +589,7 @@ func (a *Analysis) configFrom(rc runConfig) campaign.Config {
 		if o.ExpectedSites == 0 {
 			o.ExpectedSites = a.golden.Sites()
 		}
-		cfg.Tracer = func(int) campaign.Tracer { return proptrace.NewRecorder(sink, o) }
+		cfg.Sink = func(int) campaign.RunSink { return proptrace.NewRecorder(sink, o) }
 	}
 	return cfg
 }

@@ -247,3 +247,28 @@ func TestFaultModelValidate(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseFaultModel feeds arbitrary strings to ParseFaultModel. It must
+// return a model or an error, never panic; an accepted string's
+// canonical form must re-parse to the same model, and validating the
+// model at either width must not panic. The seed corpus in
+// testdata/fuzz/FuzzParseFaultModel holds every kind, region and arity
+// form plus near misses.
+func FuzzParseFaultModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseFaultModel(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseFaultModel(m.String())
+		if err != nil {
+			t.Fatalf("ParseFaultModel(%q) = %+v, whose String %q does not re-parse: %v", s, m, m.String(), err)
+		}
+		if back != m {
+			t.Fatalf("ParseFaultModel(%q) = %+v, but its String %q re-parses to %+v", s, m, m.String(), back)
+		}
+		for _, w := range []int{Width32, Width64} {
+			_ = m.Validate(w)
+		}
+	})
+}

@@ -206,28 +206,28 @@ func TestBuilderAlgorithm1(t *testing.T) {
 	b := NewBuilder(g, false)
 	w := b.NewWorker().(*Worker)
 
-	w.BeginRun(campaign.Pair{Site: 1, Bit: 10})
+	w.BeginRun(0, 0, 1, 10)
 	deltas1 := []float64{0, 3, 3, 3, 3}
 	for i, d := range deltas1 {
 		w.Observe(i, g.Trace[i], d)
 	}
-	w.EndRun(campaign.Record{Pair: campaign.Pair{Site: 1, Bit: 10}, Kind: outcome.Masked, InjErr: 3})
+	w.EndRun(outcome.Masked, 3, 0, -1)
 
-	w.BeginRun(campaign.Pair{Site: 3, Bit: 12})
+	w.BeginRun(0, 0, 3, 12)
 	deltas2 := []float64{0, 0, 0, 5, 5}
 	for i, d := range deltas2 {
 		w.Observe(i, g.Trace[i], d)
 	}
-	w.EndRun(campaign.Record{Pair: campaign.Pair{Site: 3, Bit: 12}, Kind: outcome.Masked, InjErr: 5})
+	w.EndRun(outcome.Masked, 5, 0, -1)
 
 	// An SDC run's deltas must NOT be committed.
-	w.BeginRun(campaign.Pair{Site: 0, Bit: 62})
+	w.BeginRun(0, 0, 0, 62)
 	for i := 0; i < 5; i++ {
 		w.Observe(i, g.Trace[i], 100)
 	}
-	w.EndRun(campaign.Record{Pair: campaign.Pair{Site: 0, Bit: 62}, Kind: outcome.SDC, InjErr: 100})
+	w.EndRun(outcome.SDC, 100, 0, -1)
 
-	if err := b.MergeWorkers([]campaign.PropagationSink{w}); err != nil {
+	if err := b.MergeWorkers([]campaign.RunSink{w}); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{0, 3, 3, 5, 5}
@@ -248,15 +248,15 @@ func TestBuilderFilterDropsAboveSDCFloor(t *testing.T) {
 		Pair: campaign.Pair{Site: 2, Bit: 50}, Kind: outcome.SDC, InjErr: 2.0,
 	})
 	w := b.NewWorker().(*Worker)
-	w.BeginRun(campaign.Pair{Site: 0, Bit: 9})
+	w.BeginRun(0, 0, 0, 9)
 	// Masked run propagates delta 3.0 to site 2 (above the floor) and 1.0
 	// to site 3 (no floor).
 	w.Observe(0, g.Trace[0], 0.5)
 	w.Observe(1, g.Trace[1], 0.5)
 	w.Observe(2, g.Trace[2], 3.0)
 	w.Observe(3, g.Trace[3], 1.0)
-	w.EndRun(campaign.Record{Pair: campaign.Pair{Site: 0, Bit: 9}, Kind: outcome.Masked, InjErr: 0.5})
-	if err := b.MergeWorkers([]campaign.PropagationSink{w}); err != nil {
+	w.EndRun(outcome.Masked, 0.5, 0, -1)
+	if err := b.MergeWorkers([]campaign.RunSink{w}); err != nil {
 		t.Fatal(err)
 	}
 	bd := b.Finalize()
@@ -270,10 +270,10 @@ func TestBuilderFilterDropsAboveSDCFloor(t *testing.T) {
 	b2 := NewBuilder(g, false)
 	b2.ObserveRecord(campaign.Record{Pair: campaign.Pair{Site: 2, Bit: 50}, Kind: outcome.SDC, InjErr: 2.0})
 	w2 := b2.NewWorker().(*Worker)
-	w2.BeginRun(campaign.Pair{Site: 0, Bit: 9})
+	w2.BeginRun(0, 0, 0, 9)
 	w2.Observe(2, g.Trace[2], 3.0)
-	w2.EndRun(campaign.Record{Pair: campaign.Pair{Site: 0, Bit: 9}, Kind: outcome.Masked, InjErr: 0.5})
-	if err := b2.MergeWorkers([]campaign.PropagationSink{w2}); err != nil {
+	w2.EndRun(outcome.Masked, 0.5, 0, -1)
+	if err := b2.MergeWorkers([]campaign.RunSink{w2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := b2.Finalize().Thresholds[2]; got != 3.0 {
@@ -293,11 +293,11 @@ func TestMergeWorkersBothFolds(t *testing.T) {
 		b.ObserveRecord(campaign.Record{Pair: campaign.Pair{Site: 1, Bit: 50}, Kind: outcome.SDC, InjErr: 2.0})
 		b.ObserveRecord(campaign.Record{Pair: campaign.Pair{Site: 2, Bit: 50}, Kind: outcome.SDC, InjErr: 4.0})
 		run := func(w *Worker, site int, deltas ...float64) {
-			w.BeginRun(campaign.Pair{Site: site, Bit: 9})
+			w.BeginRun(0, 0, site, 9)
 			for i, d := range deltas {
 				w.Observe(i, g.Trace[i], d)
 			}
-			w.EndRun(campaign.Record{Pair: campaign.Pair{Site: site, Bit: 9}, Kind: outcome.Masked, InjErr: deltas[site]})
+			w.EndRun(outcome.Masked, deltas[site], 0, -1)
 		}
 		w1 := b.NewWorker().(*Worker)
 		w2 := b.NewWorker().(*Worker)
@@ -305,7 +305,7 @@ func TestMergeWorkersBothFolds(t *testing.T) {
 		run(w1, 0, 1.0, 3.0, 1.0, 0.5) // site 1 above its floor
 		run(w2, 0, 2.0, 1.5, 5.0, 0.25)
 		run(w3, 0, 0.5, 2.0, 4.0, 2.0) // exactly at both floors: kept
-		if err := b.MergeWorkers([]campaign.PropagationSink{w1, w2, w3}); err != nil {
+		if err := b.MergeWorkers([]campaign.RunSink{w1, w2, w3}); err != nil {
 			t.Fatal(err)
 		}
 		wantRaw := []float64{2.0, 3.0, 5.0, 2.0}
@@ -354,7 +354,7 @@ func TestMergeWorkersRejectsForeignSink(t *testing.T) {
 	g := mustGolden(t, p)
 	b := NewBuilder(g, false)
 	other := NewBuilder(g, false)
-	if err := b.MergeWorkers([]campaign.PropagationSink{other.NewWorker()}); err == nil {
+	if err := b.MergeWorkers([]campaign.RunSink{other.NewWorker()}); err == nil {
 		t.Error("foreign worker accepted")
 	}
 }
@@ -572,38 +572,29 @@ func TestDiffRunAgreesWithPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks, err := campaign.Propagate(cfg, pairs, func() campaign.PropagationSink {
-		return &kindsSink{}
-	})
-	if err != nil {
+	// Each run index is written by the one worker that executed it.
+	got := make([]outcome.Kind, len(pairs))
+	dcfg := cfg
+	dcfg.Sink = func(int) campaign.RunSink { return &kindsSink{kinds: got} }
+	if err := campaign.RunPairsInPhase(dcfg, pairs, "propagate", nil); err != nil {
 		t.Fatal(err)
 	}
-	got := map[campaign.Pair]outcome.Kind{}
-	for _, s := range sinks {
-		ks := s.(*kindsSink)
-		for i, p := range ks.pairs {
-			got[p] = ks.kinds[i]
-		}
-	}
-	for _, rec := range plain {
-		if got[rec.Pair] != rec.Kind {
-			t.Fatalf("pair %v: diff path %v, plain path %v", rec.Pair, got[rec.Pair], rec.Kind)
+	for i, rec := range plain {
+		if got[i] != rec.Kind {
+			t.Fatalf("pair %v: diff path %v, plain path %v", rec.Pair, got[i], rec.Kind)
 		}
 	}
 }
 
-// kindsSink records each run's classified kind.
+// kindsSink records each run's classified kind at its run index.
 type kindsSink struct {
-	pairs []campaign.Pair
 	kinds []outcome.Kind
+	run   int
 }
 
-func (s *kindsSink) BeginRun(campaign.Pair)        {}
-func (s *kindsSink) Observe(int, float64, float64) {}
-func (s *kindsSink) EndRun(rec campaign.Record) {
-	s.pairs = append(s.pairs, rec.Pair)
-	s.kinds = append(s.kinds, rec.Kind)
-}
+func (s *kindsSink) BeginRun(run, _ int, _ int, _ uint8)           { s.run = run }
+func (s *kindsSink) Observe(int, float64, float64)                 {}
+func (s *kindsSink) EndRun(kind outcome.Kind, _, _ float64, _ int) { s.kinds[s.run] = kind }
 
 func TestMeanReachOnChain(t *testing.T) {
 	// In the chain, a significant masked injection at site s perturbs all
@@ -615,7 +606,7 @@ func TestMeanReachOnChain(t *testing.T) {
 
 	// Simulate a masked run injected at site 4 with significant deltas at
 	// sites 4..11.
-	w.BeginRun(campaign.Pair{Site: 4, Bit: 20})
+	w.BeginRun(0, 0, 4, 20)
 	for j := 0; j < n; j++ {
 		d := 0.0
 		if j >= 4 {
@@ -623,8 +614,8 @@ func TestMeanReachOnChain(t *testing.T) {
 		}
 		w.Observe(j, cfg.Golden.Trace[j], d)
 	}
-	w.EndRun(campaign.Record{Pair: campaign.Pair{Site: 4, Bit: 20}, Kind: outcome.Masked, InjErr: 1e-7})
-	if err := b.MergeWorkers([]campaign.PropagationSink{w}); err != nil {
+	w.EndRun(outcome.Masked, 1e-7, 0, -1)
+	if err := b.MergeWorkers([]campaign.RunSink{w}); err != nil {
 		t.Fatal(err)
 	}
 	reach := b.MeanReach()
@@ -644,7 +635,7 @@ func TestMeanReachAveragesAcrossRuns(t *testing.T) {
 	w := b.NewWorker().(*Worker)
 	// Two masked runs at site 1: one perturbing 3 downstream sites, one 1.
 	for run, reachSites := range [][]int{{2, 3, 4}, {2}} {
-		w.BeginRun(campaign.Pair{Site: 1, Bit: uint8(run)})
+		w.BeginRun(0, 0, 1, uint8(run))
 		for j := 0; j < 6; j++ {
 			d := 0.0
 			if j == 1 {
@@ -657,9 +648,9 @@ func TestMeanReachAveragesAcrossRuns(t *testing.T) {
 			}
 			w.Observe(j, cfg.Golden.Trace[j], d)
 		}
-		w.EndRun(campaign.Record{Pair: campaign.Pair{Site: 1, Bit: uint8(run)}, Kind: outcome.Masked, InjErr: 0.5})
+		w.EndRun(outcome.Masked, 0.5, 0, -1)
 	}
-	if err := b.MergeWorkers([]campaign.PropagationSink{w}); err != nil {
+	if err := b.MergeWorkers([]campaign.RunSink{w}); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.MeanReach()[1]; got != 2 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 
 	"ftb/internal/campaign"
 	"ftb/internal/outcome"
@@ -19,8 +20,9 @@ import (
 //     filter (the smallest injected error known to cause SDC per site);
 //     all records teach the per-site information counts used by adaptive
 //     sampling.
-//  2. Run campaign.Propagate over the masked samples, handing each worker
-//     a sink from NewWorker, then call MergeWorkers. Each masked run's
+//  2. Run the masked samples through campaign.RunPairsInPhase as the
+//     "propagate" phase, with Config.Sink handing each engine worker a
+//     sink from NewWorker, then call MergeWorkers. Each masked run's
 //     propagation deltas raise the per-site thresholds
 //     (Δe_j = max(Δe_j, s_i[j])). The Builder folds every delta twice:
 //     once unfiltered, and once with the filter, which discards deltas
@@ -133,7 +135,7 @@ func (b *Builder) FinalizeFilter(filter bool) *Boundary {
 }
 
 // Worker is a per-goroutine propagation accumulator. It implements
-// campaign.PropagationSink: deltas observed during a run are buffered and
+// campaign.RunSink: deltas observed during a run are buffered and
 // committed only if the run's final outcome is Masked, as Algorithm 1
 // requires. Worker state is private to one goroutine; MergeWorkers folds
 // it back into the Builder.
@@ -148,12 +150,14 @@ type Worker struct {
 
 	buf  []float64 // per-run deltas, indexed by site
 	seen int       // sites observed in the current run
+	site int       // injection site of the current run
 }
 
-// NewWorker returns a sink for one campaign.Propagate worker. The parent
-// Builder's filter floors must be complete (pass 1 finished) before any
-// worker runs; workers read them concurrently and never write them.
-func (b *Builder) NewWorker() campaign.PropagationSink {
+// NewWorker returns a sink for one engine worker of the propagate pass.
+// The parent Builder's filter floors must be complete (pass 1 finished)
+// before any worker runs; workers read them concurrently and never
+// write them.
+func (b *Builder) NewWorker() campaign.RunSink {
 	n := b.Sites()
 	return &Worker{
 		parent:     b,
@@ -166,8 +170,8 @@ func (b *Builder) NewWorker() campaign.PropagationSink {
 	}
 }
 
-// BeginRun implements campaign.PropagationSink.
-func (w *Worker) BeginRun(campaign.Pair) { w.seen = 0 }
+// BeginRun implements campaign.RunSink.
+func (w *Worker) BeginRun(_, _ int, site int, _ uint8) { w.seen, w.site = 0, site }
 
 // Observe implements trace.DiffSink. Sites arrive in execution order
 // (0, 1, 2, ...), so the buffer prefix [0, seen) is the current run.
@@ -191,10 +195,10 @@ func (w *Worker) ObserveZeroPrefix(n int) {
 	}
 }
 
-// EndRun implements campaign.PropagationSink: commit the run's deltas if
-// it was masked, to the unfiltered and the filtered thresholds alike.
-func (w *Worker) EndRun(rec campaign.Record) {
-	if rec.Kind != outcome.Masked {
+// EndRun implements campaign.RunSink: commit the run's deltas if it was
+// masked, to the unfiltered and the filtered thresholds alike.
+func (w *Worker) EndRun(kind outcome.Kind, _, _ float64, _ int) {
+	if kind != outcome.Masked {
 		return
 	}
 	g := w.parent.golden.Trace
@@ -207,7 +211,7 @@ func (w *Worker) EndRun(rec campaign.Record) {
 		}
 		if significant(g[j], d) {
 			w.info[j]++
-			if j != rec.Site {
+			if j != w.site {
 				reach++
 			}
 		}
@@ -218,13 +222,13 @@ func (w *Worker) EndRun(rec campaign.Record) {
 			w.filtered[j] = d
 		}
 	}
-	w.reachSum[rec.Site] += reach
-	w.reachRuns[rec.Site]++
+	w.reachSum[w.site] += reach
+	w.reachRuns[w.site]++
 }
 
 // MergeWorkers folds propagation accumulators back into the Builder:
 // both threshold arrays merge by max, information counts by sum.
-func (b *Builder) MergeWorkers(sinks []campaign.PropagationSink) error {
+func (b *Builder) MergeWorkers(sinks []campaign.RunSink) error {
 	for _, s := range sinks {
 		w, ok := s.(*Worker)
 		if !ok {
@@ -305,8 +309,20 @@ func (b *Builder) Absorb(cfg campaign.Config, pairs []campaign.Pair, known *Know
 			masked = append(masked, rec.Pair)
 		}
 	}
-	sinks, err := campaign.Propagate(cfg, masked, b.NewWorker)
-	if err != nil {
+	// The engine builds one sink per started worker, on that worker's
+	// goroutine. The pass keeps no records: its result is the sinks.
+	var (
+		mu    sync.Mutex
+		sinks []campaign.RunSink
+	)
+	cfg.Sink = func(int) campaign.RunSink {
+		w := b.NewWorker()
+		mu.Lock()
+		sinks = append(sinks, w)
+		mu.Unlock()
+		return w
+	}
+	if err := campaign.RunPairsInPhase(cfg, masked, "propagate", nil); err != nil {
 		return nil, err
 	}
 	if err := b.MergeWorkers(sinks); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftb/internal/kernels"
+	"ftb/internal/outcome"
 	"ftb/internal/trace"
 )
 
@@ -71,13 +72,13 @@ func BenchmarkScheduling(b *testing.B) {
 // via the per-store diff callback), keyed by injection site. The
 // crash-heavy workload uses one pair per site, so the site is the index.
 type costSink struct {
-	costs []int
-	cur   int
+	costs     []int
+	site, cur int
 }
 
-func (s *costSink) BeginRun(Pair)                 { s.cur = 0 }
-func (s *costSink) Observe(int, float64, float64) { s.cur++ }
-func (s *costSink) EndRun(rec Record)             { s.costs[rec.Site] = s.cur }
+func (s *costSink) BeginRun(_, _ int, site int, _ uint8)       { s.site, s.cur = site, 0 }
+func (s *costSink) Observe(int, float64, float64)              { s.cur++ }
+func (s *costSink) EndRun(outcome.Kind, float64, float64, int) { s.costs[s.site] = s.cur }
 
 // BenchmarkSchedulingMakespan measures every experiment's true cost, then
 // replays static chunking and the dynamic queue over those costs with each worker
@@ -96,12 +97,16 @@ func BenchmarkSchedulingMakespan(b *testing.B) {
 	costs := make([]int, cfg.Golden.Sites())
 	var static, dynamic float64
 	for i := 0; i < b.N; i++ {
-		sinks, err := Propagate(cfg, pairs, func() PropagationSink { return &costSink{costs: costs} })
-		if err != nil {
+		sinks := 0
+		cfg.Sink = func(int) RunSink {
+			sinks++ // one worker: never called concurrently
+			return &costSink{costs: costs}
+		}
+		if err := RunPairsInPhase(cfg, pairs, "propagate", nil); err != nil {
 			b.Fatal(err)
 		}
-		if len(sinks) != 1 {
-			b.Fatalf("expected 1 worker, got %d sinks", len(sinks))
+		if sinks != 1 {
+			b.Fatalf("expected 1 worker, got %d sinks", sinks)
 		}
 		static = simulateStatic(costs, workers)
 		dynamic = simulateDynamic(costs, workers, DefaultBatch)

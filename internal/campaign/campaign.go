@@ -1,7 +1,8 @@
 // Package campaign executes fault-injection campaigns: the exhaustive
-// ground-truth campaign (every bit of every dynamic instruction), sampled
-// campaigns over chosen (site, bit) pairs, and propagation-collection runs
-// that feed the boundary-inference algorithm.
+// ground-truth campaign (every bit of every dynamic instruction) and
+// sampled campaigns over chosen (site, bit) pairs, optionally streaming
+// each run's propagation deltas to a per-worker RunSink (trajectory
+// recording, or the boundary-inference fold).
 //
 // Campaigns are embarrassingly parallel and run on the package's
 // execution engine (engine.go): a context-aware dispatcher that feeds a
@@ -114,17 +115,16 @@ type Config struct {
 	// why it is the concrete lock-cheap collector rather than an
 	// interface. One collector may serve many campaigns concurrently.
 	Collector *telemetry.Collector
-	// Tracer, when non-nil, is called once per engine worker to build
-	// that worker's propagation tracer, and switches classification
-	// campaigns (RunPairs, Exhaustive, ExhaustiveResume) into diff
-	// mode: every experiment streams its per-site |golden − corrupted|
-	// deltas to the worker's tracer between a BeginRun/EndRun pair, so
-	// trajectories can be recorded without a second campaign. Records and
-	// outcome counts are identical to the untraced path; only execution
-	// cost changes. A factory returning nil leaves that worker untraced.
-	// Propagate ignores Tracer — its PropagationSink already owns the
-	// diff stream.
-	Tracer func(worker int) Tracer
+	// Sink, when non-nil, is called once per engine worker to build that
+	// worker's RunSink, and switches the campaign into diff mode: every
+	// experiment streams its per-site |golden − corrupted| deltas to the
+	// worker's sink between a BeginRun/EndRun pair. A trajectory recorder
+	// (*proptrace.Recorder) records trajectories without a second
+	// campaign; Algorithm 1's fold (*boundary.Worker) raises per-site
+	// thresholds from masked runs. Records and outcome counts are
+	// identical to the sinkless path; only execution cost changes. A
+	// factory returning nil leaves that worker sinkless.
+	Sink func(worker int) RunSink
 	// Replay enables checkpointed prefix replay: a worker whose program
 	// implements trace.Snapshotter snapshots the kernel state at the
 	// injection site and replays every experiment at that site from the
@@ -161,27 +161,59 @@ type Config struct {
 	SpanSample int
 }
 
-// Tracer consumes one worker's propagation trajectories. It extends
+// RunSink consumes one worker's per-run diff streams. It extends
 // trace.DiffSink with per-run boundaries carrying campaign coordinates:
-// the engine calls BeginRun before each traced experiment (run is the
+// the engine calls BeginRun before each experiment (run is the
 // campaign-wide experiment index, worker the engine worker executing
 // it), streams the per-site deltas through Observe, and closes the run
 // with its classified outcome via EndRun (crashSite is -1 when the run
-// did not crash). A Tracer is owned by a single worker and is never
-// called concurrently; *proptrace.Recorder implements the interface.
-// On a campaign abort (error or cancellation) an opened run may never
-// see its EndRun — implementations must tolerate dropping it.
-type Tracer interface {
+// did not crash). A RunSink is owned by a single worker and is never
+// called concurrently; *proptrace.Recorder and *boundary.Worker
+// implement it. On a campaign abort (error or cancellation) an opened
+// run may never see its EndRun — implementations must tolerate
+// dropping it.
+type RunSink interface {
 	trace.DiffSink
 	BeginRun(run, worker int, site int, bit uint8)
-	EndRun(outcome string, injErr, outErr float64, crashSite int)
+	EndRun(kind outcome.Kind, injErr, outErr float64, crashSite int)
 }
 
 func (c *Config) normalized() (Config, error) {
-	out := *c
-	if out.Factory == nil {
-		return out, errors.New("campaign: Config.Factory is required")
+	if c.Factory == nil {
+		return *c, errors.New("campaign: Config.Factory is required")
 	}
+	out, err := c.NormalizedTarget()
+	if err != nil {
+		return out, err
+	}
+	if out.Workers <= 0 {
+		out.Workers = runtime.GOMAXPROCS(0)
+	}
+	if out.Workers > MaxWorkers {
+		return out, fmt.Errorf("campaign: workers %d above limit %d", out.Workers, MaxWorkers)
+	}
+	if out.Batch == 0 {
+		out.Batch = DefaultBatch
+		if out.Replay {
+			// Site-aligned claims: exhaustive campaigns enumerate pairs
+			// site-major, so a batch of Bits experiments is exactly one
+			// site's worth of flips — each snapshot a worker builds is
+			// used for a full claim before the queue hands it elsewhere.
+			out.Batch = out.Bits
+		}
+	}
+	if out.Batch < 1 {
+		return out, fmt.Errorf("campaign: batch %d must be positive", out.Batch)
+	}
+	return out, nil
+}
+
+// NormalizedTarget validates the campaign target — Golden, Tol, Width,
+// Model and Bits — and fills in the defaults of Width, Bits, Context and
+// Logger. It does not require Factory: a cluster coordinator, which runs
+// no program itself, normalizes its campaign through it.
+func (c Config) NormalizedTarget() (Config, error) {
+	out := c
 	if out.Golden == nil {
 		return out, errors.New("campaign: Config.Golden is required")
 	}
@@ -204,25 +236,6 @@ func (c *Config) normalized() (Config, error) {
 	if out.Bits < 1 || out.Bits > pop {
 		return out, fmt.Errorf("campaign: bits %d outside [1, %d] (fault model %q at width %d)",
 			out.Bits, pop, out.Model, out.Width)
-	}
-	if out.Workers <= 0 {
-		out.Workers = runtime.GOMAXPROCS(0)
-	}
-	if out.Workers > MaxWorkers {
-		return out, fmt.Errorf("campaign: workers %d above limit %d", out.Workers, MaxWorkers)
-	}
-	if out.Batch == 0 {
-		out.Batch = DefaultBatch
-		if out.Replay {
-			// Site-aligned claims: exhaustive campaigns enumerate pairs
-			// site-major, so a batch of Bits experiments is exactly one
-			// site's worth of flips — each snapshot a worker builds is
-			// used for a full claim before the queue hands it elsewhere.
-			out.Batch = out.Bits
-		}
-	}
-	if out.Batch < 1 {
-		return out, fmt.Errorf("campaign: batch %d must be positive", out.Batch)
 	}
 	if out.Context == nil {
 		out.Context = context.Background()
@@ -269,31 +282,27 @@ func RunPair(ctx *trace.Ctx, p trace.Program, golden *trace.GoldenRun, tol float
 	return classify(golden, tol, pair, res)
 }
 
-// pairWorker is the per-goroutine state of a classification or
-// propagation campaign. At most one of tracer and sink is set: a traced
-// classification streams its deltas to the tracer, a propagation
-// campaign to its PropagationSink.
+// pairWorker is the per-goroutine state of a pair campaign.
 type pairWorker struct {
 	p      trace.Program
 	ctx    trace.Ctx
 	worker int
-	tracer Tracer                      // nil when the campaign is untraced
-	sink   PropagationSink             // nil outside Propagate
+	sink   RunSink                     // nil when the campaign streams no deltas
 	replay *replayCache                // nil when replay is off or unsupported
 	rec    *telemetry.CampaignRecorder // nil when the campaign is uncollected
 	sp     *obs.WorkerSpans            // nil-safe when the campaign records no spans
 }
 
-// newPairWorker builds one worker's state, attaching its tracer when the
-// campaign records trajectories and its replay cache when the campaign
+// newPairWorker builds one worker's state, attaching its run sink when
+// the campaign streams deltas and its replay cache when the campaign
 // replays prefixes and the program can snapshot. A program that does not
 // implement trace.Snapshotter silently keeps the vanilla full-execution
 // path — Replay is a pure optimization, never a capability requirement.
 func newPairWorker(cfg Config, w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *pairWorker {
 	pw := &pairWorker{p: cfg.Factory(), worker: w, rec: rec, sp: sp}
 	pw.ctx.SetFaultModel(cfg.Model)
-	if cfg.Tracer != nil {
-		pw.tracer = cfg.Tracer(w)
+	if cfg.Sink != nil {
+		pw.sink = cfg.Sink(w)
 	}
 	if cfg.Replay {
 		if s, ok := pw.p.(trace.Snapshotter); ok {
@@ -338,13 +347,13 @@ func chargeRestore(rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans, worker 
 	rec.StoresSkipped(worker, int64(pr.resume))
 }
 
-// runChecked executes one experiment on this worker. With a tracer or a
-// propagation sink attached, the run streams its per-site deltas there,
-// bracketed by the sink's BeginRun/EndRun. With a replay cache, the
-// experiment resumes from the site's prefix snapshot instead of the
-// program entry. Records are identical on every path, and every path
-// applies trace.Run's trace-mismatch check. run is the campaign-wide
-// experiment index tagged onto the trajectory.
+// runChecked executes one experiment on this worker. With a run sink
+// attached, the run streams its per-site deltas there, bracketed by the
+// sink's BeginRun/EndRun. With a replay cache, the experiment resumes
+// from the site's prefix snapshot instead of the program entry. Records
+// are identical on every path, and every path applies trace.Run's
+// trace-mismatch check. run is the campaign-wide experiment index
+// handed to the sink.
 func (w *pairWorker) runChecked(cfg Config, run int, pair Pair) (Record, error) {
 	pl := trace.Plan{Site: pair.Site, Bit: uint(pair.Bit)}
 	if w.replay != nil {
@@ -358,11 +367,8 @@ func (w *pairWorker) runChecked(cfg Config, run int, pair Pair) (Record, error) 
 	}
 	switch {
 	case w.sink != nil:
-		w.sink.BeginRun(pair)
+		w.sink.BeginRun(run, w.worker, pair.Site, pair.Bit)
 		pl.Sink = w.sink
-	case w.tracer != nil:
-		w.tracer.BeginRun(run, w.worker, pair.Site, pair.Bit)
-		pl.Sink = w.tracer
 	case w.replay != nil:
 		// Untraced runs on a pooled, state-comparable kernel may prove
 		// mid-run that they replay the golden suffix exactly and return
@@ -384,15 +390,12 @@ func (w *pairWorker) runChecked(cfg Config, run int, pair Pair) (Record, error) 
 		}
 	}
 	rec := classify(cfg.Golden, cfg.Tol, pair, res)
-	switch {
-	case w.sink != nil:
-		w.sink.EndRun(rec)
-	case w.tracer != nil:
+	if w.sink != nil {
 		crashAt := -1
 		if res.Crashed {
 			crashAt = res.CrashAt
 		}
-		w.tracer.EndRun(rec.Kind.String(), rec.InjErr, rec.OutErr, crashAt)
+		w.sink.EndRun(rec.Kind, rec.InjErr, rec.OutErr, crashAt)
 	}
 	return rec, nil
 }
@@ -402,24 +405,39 @@ func (w *pairWorker) runChecked(cfg Config, run int, pair Pair) (Record, error) 
 // cancels the remaining work and is returned; a cancelled Config.Context
 // surfaces as its context error.
 func RunPairs(cfg Config, pairs []Pair) ([]Record, error) {
-	return RunPairsInPhase(cfg, pairs, "classify")
+	records := make([]Record, len(pairs))
+	if err := RunPairsInPhase(cfg, pairs, "classify", records); err != nil {
+		return nil, err
+	}
+	return records, nil
 }
 
-// RunPairsInPhase is RunPairs with an explicit telemetry/observer phase
-// label. Cluster workers execute exhaustive-campaign shards through the
-// pair path and use this to keep the shard's telemetry attributed to the
-// campaign phase the coordinator is actually running, instead of every
-// remote shard masquerading as "classify".
-func RunPairsInPhase(cfg Config, pairs []Pair, phase string) ([]Record, error) {
+// RunPairsInPhase is the one entry point of every pair campaign: it
+// executes pairs under an explicit telemetry/observer phase label and
+// writes pairs[i]'s record to records[i]. records is caller-owned and
+// must have len(pairs) entries, or be nil for a pass whose result lives
+// entirely in its run sinks. Cluster workers execute exhaustive-campaign
+// shards through it under the campaign's phase, instead of every remote
+// shard masquerading as "classify". Boundary inference runs its second
+// pass through it as "propagate": the masked subset of a sampled
+// campaign, with Config.Sink building Algorithm 1's per-worker
+// accumulators and no records kept. Runs of that phase feed the
+// threshold fold, not a trajectory recorder, so the telemetry collector
+// does not count them as trajectories. Which worker (and therefore which
+// sink) handles an experiment depends on scheduling; sinks whose merge
+// is a max/sum fold over the same run set merge deterministically.
+func RunPairsInPhase(cfg Config, pairs []Pair, phase string, records []Record) error {
 	cfg, err := cfg.normalized()
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if records != nil && len(records) != len(pairs) {
+		return fmt.Errorf("campaign: %d records for %d pairs", len(records), len(pairs))
 	}
 	if err := validatePairs(cfg, pairs); err != nil {
-		return nil, err
+		return err
 	}
-	records := make([]Record, len(pairs))
-	err = runEngine(cfg, phase, len(pairs),
+	return runEngine(cfg, phase, len(pairs),
 		func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *pairWorker {
 			return newPairWorker(cfg, w, rec, sp)
 		},
@@ -428,74 +446,11 @@ func RunPairsInPhase(cfg Config, pairs []Pair, phase string) ([]Record, error) {
 			if err != nil {
 				return 0, err
 			}
-			records[i] = rec
+			if records != nil {
+				records[i] = rec
+			}
 			return rec.Kind, nil
 		}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return records, nil
-}
-
-// PropagationSink extends trace.DiffSink with a per-run boundary so
-// accumulators know which experiment the observations belong to.
-type PropagationSink interface {
-	trace.DiffSink
-	// BeginRun is called before each run with the experiment's pair.
-	BeginRun(pair Pair)
-	// EndRun is called after each run with the classified record. delta
-	// observations between BeginRun and EndRun belong to this experiment.
-	EndRun(rec Record)
-}
-
-// Propagate executes the given experiments as diff runs, streaming
-// per-site propagation deltas to per-worker sinks created by newSink. It
-// runs on the same workers as classification, so Config.Replay resumes
-// each run from its site's prefix snapshot (the sink still observes the
-// full per-site stream, the prefix as zeros). The returned slice holds
-// every sink that was actually used, so the caller can merge their
-// accumulated state. Which worker (and therefore which sink) handles a
-// given experiment depends on scheduling, but sink merges are max/sum
-// folds over the same run set, so merged results stay deterministic.
-//
-// Propagate is typically applied to the masked subset of a sampled
-// campaign: Algorithm 1 consumes only masked runs' propagation data.
-func Propagate(cfg Config, pairs []Pair, newSink func() PropagationSink) ([]PropagationSink, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if newSink == nil {
-		return nil, errors.New("campaign: newSink is required")
-	}
-	if err := validatePairs(cfg, pairs); err != nil {
-		return nil, err
-	}
-	// Propagation campaigns own their diff stream through newSink; drop
-	// any Tracer so the engine does not count these runs as trajectories.
-	cfg.Tracer = nil
-	sinks := make([]PropagationSink, cfg.Workers)
-	err = runEngine(cfg, "propagate", len(pairs),
-		func(w int, rec *telemetry.CampaignRecorder, sp *obs.WorkerSpans) *pairWorker {
-			pw := newPairWorker(cfg, w, rec, sp)
-			pw.sink = newSink()
-			sinks[w] = pw.sink
-			return pw
-		},
-		func(w *pairWorker, i int) (outcome.Kind, error) {
-			rec, err := w.runChecked(cfg, i, pairs[i])
-			return rec.Kind, err
-		}, nil)
-	if err != nil {
-		return nil, err
-	}
-	used := sinks[:0]
-	for _, s := range sinks {
-		if s != nil {
-			used = append(used, s)
-		}
-	}
-	return used, nil
 }
 
 // AllPairs enumerates the complete sample space: every bit of every site.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ftb/internal/kernels"
@@ -203,29 +204,49 @@ type collectSink struct {
 	cur          float64
 }
 
-func (s *collectSink) BeginRun(p Pair) { s.begun = append(s.begun, p); s.cur = 0 }
+func (s *collectSink) BeginRun(_, _ int, site int, bit uint8) {
+	s.begun = append(s.begun, Pair{site, bit})
+	s.cur = 0
+}
 func (s *collectSink) Observe(site int, golden, delta float64) {
 	s.cur += delta
 }
-func (s *collectSink) EndRun(r Record) {
-	s.ended = append(s.ended, r.Pair)
-	s.kinds = append(s.kinds, r.Kind)
+func (s *collectSink) EndRun(kind outcome.Kind, _, _ float64, _ int) {
+	s.ended = append(s.ended, s.begun[len(s.begun)-1])
+	s.kinds = append(s.kinds, kind)
 	s.deltaSums = append(s.deltaSums, s.cur)
+}
+
+// runCollected runs pairs as a sinked propagate pass and returns every
+// worker's collectSink.
+func runCollected(t *testing.T, cfg Config, pairs []Pair) []*collectSink {
+	t.Helper()
+	var (
+		mu    sync.Mutex
+		sinks []*collectSink
+	)
+	cfg.Sink = func(int) RunSink {
+		s := &collectSink{}
+		mu.Lock()
+		sinks = append(sinks, s)
+		mu.Unlock()
+		return s
+	}
+	if err := RunPairsInPhase(cfg, pairs, "propagate", nil); err != nil {
+		t.Fatal(err)
+	}
+	return sinks
 }
 
 func TestPropagateSinkLifecycle(t *testing.T) {
 	cfg := chainConfig(8, 1e-9, 2)
 	pairs := []Pair{{1, 0}, {2, 40}, {3, 63}, {4, 10}}
-	sinks, err := Propagate(cfg, pairs, func() PropagationSink { return &collectSink{} })
-	if err != nil {
-		t.Fatal(err)
-	}
+	sinks := runCollected(t, cfg, pairs)
 	if len(sinks) == 0 {
 		t.Fatal("no sinks used")
 	}
 	var begun, ended int
-	for _, s := range sinks {
-		cs := s.(*collectSink)
+	for _, cs := range sinks {
 		if len(cs.begun) != len(cs.ended) {
 			t.Fatalf("sink begun %d != ended %d", len(cs.begun), len(cs.ended))
 		}
@@ -248,11 +269,7 @@ func TestPropagateDeltasReflectChain(t *testing.T) {
 	n := 10
 	cfg := chainConfig(n, 1e-9, 1)
 	pairs := []Pair{{Site: 4, Bit: 63}}
-	sinks, err := Propagate(cfg, pairs, func() PropagationSink { return &collectSink{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := sinks[0].(*collectSink)
+	cs := runCollected(t, cfg, pairs)[0]
 	if len(cs.deltaSums) != 1 {
 		t.Fatalf("runs = %d, want 1", len(cs.deltaSums))
 	}

@@ -19,7 +19,8 @@ import (
 // monotonically non-decreasing Done and Frontier.
 type Event struct {
 	// Phase names the campaign stage emitting the event: "classify"
-	// (RunPairs), "propagate" (Propagate), or "exhaustive".
+	// (RunPairs), "propagate" (boundary inference's masked pass through
+	// RunPairsInPhase), or "exhaustive".
 	Phase string
 	// Done counts completed experiments; Total is the campaign size.
 	Done, Total int
@@ -142,7 +143,9 @@ func runEngine[S any](cfg Config, phase string, n int,
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	traced := cfg.Tracer != nil
+	// A sink records a trajectory per run in every phase but
+	// "propagate", whose sinks fold thresholds instead.
+	traced := cfg.Sink != nil && phase != "propagate"
 	logger.Debug("campaign start",
 		"phase", phase, "experiments", n, "workers", workers,
 		"batch", batch, "traced", traced)

@@ -45,13 +45,19 @@ func slowConfig(t *testing.T, delay time.Duration, workers int) Config {
 	}
 }
 
-// nopSink discards propagation observations; Propagate tests only care
-// about error plumbing.
+// nopSink discards diff streams; sinked-pass tests only care about
+// error plumbing.
 type nopSink struct{}
 
-func (nopSink) BeginRun(Pair)                 {}
-func (nopSink) Observe(int, float64, float64) {}
-func (nopSink) EndRun(Record)                 {}
+func (nopSink) BeginRun(int, int, int, uint8)              {}
+func (nopSink) Observe(int, float64, float64)              {}
+func (nopSink) EndRun(outcome.Kind, float64, float64, int) {}
+
+// withNopSink attaches nopSink to every worker of cfg.
+func withNopSink(cfg Config) Config {
+	cfg.Sink = func(int) RunSink { return nopSink{} }
+	return cfg
+}
 
 // TestDeterminismMatrix: identical configs produce byte-identical records
 // for every worker count, with ragged final batches.
@@ -125,9 +131,9 @@ func TestTraceMismatchSurfaces(t *testing.T) {
 	if _, err := RunPairs(cfg, pairs); !errors.Is(err, trace.ErrTraceMismatch) {
 		t.Errorf("RunPairs error = %v, want trace.ErrTraceMismatch", err)
 	}
-	_, err = Propagate(cfg, pairs, func() PropagationSink { return nopSink{} })
+	err = RunPairsInPhase(withNopSink(cfg), pairs, "propagate", nil)
 	if !errors.Is(err, trace.ErrTraceMismatch) {
-		t.Errorf("Propagate error = %v, want trace.ErrTraceMismatch", err)
+		t.Errorf("sinked propagate pass error = %v, want trace.ErrTraceMismatch", err)
 	}
 }
 
@@ -142,8 +148,8 @@ func TestPreCancelledContext(t *testing.T) {
 	if _, err := RunPairs(cfg, pairs); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunPairs = %v, want context.Canceled", err)
 	}
-	if _, err := Propagate(cfg, pairs, func() PropagationSink { return nopSink{} }); !errors.Is(err, context.Canceled) {
-		t.Errorf("Propagate = %v, want context.Canceled", err)
+	if err := RunPairsInPhase(withNopSink(cfg), pairs, "propagate", nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("sinked propagate pass = %v, want context.Canceled", err)
 	}
 	if _, err := Exhaustive(cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("Exhaustive = %v, want context.Canceled", err)
@@ -277,6 +283,9 @@ func TestEngineConfigValidation(t *testing.T) {
 	bad = []Pair{{Site: 99, Bit: 0}}
 	if _, err := RunPairs(good, bad); err == nil {
 		t.Error("out-of-range site accepted")
+	}
+	if err := RunPairsInPhase(good, AllPairs(4, 4), "classify", make([]Record, 3)); err == nil {
+		t.Error("records slice shorter than pairs accepted")
 	}
 }
 

@@ -88,9 +88,9 @@ type multiOnly struct{ trace.MultiSnapshotter }
 // combination to reproduce the vanilla ground truth byte for byte. Each
 // capability changes only where a prefix comes from or when a run is
 // allowed to stop early, never what gets classified. The propagate
-// phase holds Propagate to the same bar: a seeded two-pass inference
-// must merge into the same boundary.Builder state (thresholds,
-// information counts, reach) as without replay. Each wrapper must also
+// phase holds the propagate pass to the same bar: a seeded two-pass
+// inference must merge into the same boundary.Builder state
+// (thresholds, information counts, reach) as without replay. Each wrapper must also
 // keep its hidden paths silent in the replay telemetry.
 func TestReplayFeatureTogglesByteIdentical(t *testing.T) {
 	toggles := []struct {
@@ -156,7 +156,7 @@ type builderState struct {
 	info              []int64
 }
 
-// inferState runs the two-pass inference (classify, then Propagate over
+// inferState runs the two-pass inference (classify, then propagate over
 // the masked subset) with the §3.5 filter on, and returns the merged
 // builder state.
 func inferState(t *testing.T, cfg campaign.Config, pairs []campaign.Pair) builderState {

@@ -16,7 +16,7 @@ import (
 // trajectories land in one mutex-protected buffer.
 func tracedConfig(n int, workers int, buf *proptrace.Buffer) Config {
 	cfg := chainConfig(n, 1e-9, workers)
-	cfg.Tracer = func(worker int) Tracer {
+	cfg.Sink = func(worker int) RunSink {
 		return proptrace.NewRecorder(buf, proptrace.Options{
 			Program:       "chain",
 			ExpectedSites: cfg.Golden.Sites(),
@@ -178,12 +178,11 @@ func TestTracedTelemetry(t *testing.T) {
 	if _, err := RunPairs(cfg2, pairs); err != nil {
 		t.Fatal(err)
 	}
-	// Propagate ignores Tracer entirely.
-	cfg3 := tracedConfig(6, 2, proptrace.NewBuffer())
+	// A propagate pass streams into its sinks but records no
+	// trajectories.
+	cfg3 := chainConfig(6, 1e-9, 2)
 	cfg3.Collector = col
-	if _, err := Propagate(cfg3, pairs, func() PropagationSink { return &collectSink{} }); err != nil {
-		t.Fatal(err)
-	}
+	runCollected(t, cfg3, pairs)
 	snap = col.Snapshot()
 	if snap.Trajectories != int64(len(pairs)) {
 		t.Errorf("after untraced runs Trajectories = %d, want %d", snap.Trajectories, len(pairs))
@@ -236,11 +235,11 @@ func TestEngineEventLog(t *testing.T) {
 	}
 }
 
-// TestTracedNilWorkerTracer checks that a factory returning nil leaves
-// that worker untraced without breaking the campaign.
+// TestTracedNilWorkerTracer checks that a sink factory returning nil
+// leaves that worker sinkless without breaking the campaign.
 func TestTracedNilWorkerTracer(t *testing.T) {
 	cfg := chainConfig(6, 1e-9, 2)
-	cfg.Tracer = func(worker int) Tracer { return nil }
+	cfg.Sink = func(worker int) RunSink { return nil }
 	recs, err := RunPairs(cfg, AllPairs(6, 4))
 	if err != nil {
 		t.Fatal(err)

@@ -99,14 +99,16 @@ func TestClusterMatchesInProcess(t *testing.T) {
 	col := telemetry.New()
 	var events []campaign.Event
 	res, err := Exhaustive(Config{
+		Campaign: campaign.Config{
+			Golden:    golden,
+			Tol:       tol,
+			Bits:      bits,
+			Collector: col,
+			Observer:  campaign.ObserverFunc(func(e campaign.Event) { events = append(events, e) }),
+		},
 		Workers:   []string{w1.URL, w2.URL},
-		Golden:    golden,
 		Program:   name,
-		Tol:       tol,
-		Bits:      bits,
 		ShardSize: 97, // deliberately not a divisor of the space
-		Collector: col,
-		Observer:  campaign.ObserverFunc(func(e campaign.Event) { events = append(events, e) }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +196,12 @@ func TestClusterRetriesFlakyWorker(t *testing.T) {
 
 	_, w1 := startTestWorker(t, name, func(h http.Handler) http.Handler { return &flaky{h: h, n: 2} })
 	res, err := Exhaustive(Config{
+		Campaign: campaign.Config{
+			Golden: golden,
+			Tol:    tol,
+			Bits:   bits,
+		},
 		Workers:   []string{w1.URL},
-		Golden:    golden,
-		Tol:       tol,
-		Bits:      bits,
 		ShardSize: 64,
 		Backoff:   time.Millisecond,
 	})
@@ -262,10 +266,12 @@ func TestClusterDropsDeadWorker(t *testing.T) {
 		})
 	})
 	res, err := Exhaustive(Config{
+		Campaign: campaign.Config{
+			Golden: golden,
+			Tol:    tol,
+			Bits:   bits,
+		},
 		Workers:           []string{dying.URL, healthy.URL},
-		Golden:            golden,
-		Tol:               tol,
-		Bits:              bits,
 		ShardSize:         64,
 		Backoff:           time.Millisecond,
 		MaxWorkerFailures: maxFailures,
@@ -327,12 +333,14 @@ func TestClusterCheckpointResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := Config{
+		Campaign: campaign.Config{
+			Golden:  golden,
+			Tol:     tol,
+			Bits:    bits,
+			Context: ctx,
+		},
 		Workers:   []string{w1.URL},
-		Golden:    golden,
-		Tol:       tol,
-		Bits:      bits,
 		ShardSize: 32,
-		Context:   ctx,
 	}
 	prior := &campaign.GroundTruth{SitesN: golden.Sites(), BitsN: bits, WidthN: 64, Kinds: make([]outcome.Kind, total)}
 	merged := make([]bool, total)
@@ -372,7 +380,7 @@ func TestClusterCheckpointResume(t *testing.T) {
 	log.lo = nil
 	log.mu.Unlock()
 	cfg2 := cfg
-	cfg2.Context = context.Background()
+	cfg2.Campaign.Context = context.Background()
 	cfg2.Prior = prior
 	cfg2.Completed = completed
 	res2, err := Exhaustive(cfg2)
@@ -405,11 +413,13 @@ func TestClusterRejectsMismatchedWorker(t *testing.T) {
 	}
 	_, wLU := startTestWorker(t, "lu", nil)
 	_, err = Exhaustive(Config{
+		Campaign: campaign.Config{
+			Golden: goldenCG,
+			Tol:    1e-6,
+			Bits:   1,
+		},
 		Workers: []string{wLU.URL},
-		Golden:  goldenCG,
 		Program: "cg",
-		Tol:     1e-6,
-		Bits:    1,
 	})
 	if err == nil {
 		t.Fatal("coordinator accepted a worker serving a different program")

@@ -7,17 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"sync"
 	"time"
 
-	"ftb/internal/bits"
 	"ftb/internal/campaign"
 	"ftb/internal/obs"
 	"ftb/internal/outcome"
 	"ftb/internal/telemetry"
-	"ftb/internal/trace"
 )
 
 // Coordinator tuning defaults. They favour small deployments (a handful
@@ -49,26 +46,30 @@ const (
 
 // Config describes a sharded exhaustive campaign.
 type Config struct {
+	// Campaign is the campaign's target and instrumentation, as the
+	// in-process engine takes them. Golden is the coordinator's own
+	// fault-free run, which every worker must fingerprint-match; Tol,
+	// Bits, Width and Model ride in each lease request, so workers need
+	// no per-campaign configuration. Context cancels the campaign
+	// (promptly, within one in-flight lease per worker). Observer
+	// receives coordinator-side progress events (phase "exhaustive"):
+	// Done/Frontier count experiments, including the resumed ranges.
+	// Collector absorbs each shard's telemetry snapshot as it arrives,
+	// so live exports reflect the whole fleet mid-campaign. Spans records
+	// one lease span per shard attempt, parented under SpanParent, and
+	// grafts each completed lease's worker spans under its lease span;
+	// SpanSample is forwarded to workers as their experiment sampling
+	// stride. Logger receives lease lifecycle events (Debug) and
+	// worker-loss / retry events (Warn). Factory, Workers, Batch, Sink
+	// and Replay do not apply: workers run their own program instances
+	// and always replay.
+	Campaign campaign.Config
 	// Workers is the pool of worker base URLs (e.g. "http://10.0.0.2:9001").
 	// At least one is required.
 	Workers []string
-	// Golden is the coordinator's own fault-free run; every worker must
-	// fingerprint-match it.
-	Golden *trace.GoldenRun
 	// Program is the expected program name; non-empty values are
 	// enforced against each worker's /v1/info.
 	Program string
-	// Tol is the acceptable L∞ output deviation.
-	Tol float64
-	// Bits is the fault coordinates probed per site (default: the
-	// Model's full population at Width).
-	Bits int
-	// Width is the IEEE-754 data-element width (default 64).
-	Width int
-	// Model is the fault model every lease runs under (zero value: the
-	// default single-bit flip). It rides in each lease request, so
-	// workers need no per-campaign configuration.
-	Model bits.FaultModel
 	// ShardSize is the lease granularity in experiments (default
 	// DefaultShardSize).
 	ShardSize int
@@ -87,29 +88,6 @@ type Config struct {
 	// DefaultBackoffCap).
 	Backoff    time.Duration
 	BackoffCap time.Duration
-	// Context cancels the campaign (prompt, within one in-flight lease
-	// per worker).
-	Context context.Context
-	// Observer receives coordinator-side progress events (phase
-	// "exhaustive"): Done/Frontier count experiments, including the
-	// resumed ranges.
-	Observer campaign.Observer
-	// Collector, when non-nil, absorbs each shard's telemetry snapshot
-	// as it arrives, so live exports reflect the whole fleet
-	// mid-campaign.
-	Collector *telemetry.Collector
-	// Spans, when non-nil, records the campaign's coordinator-side span
-	// timeline — one lease span per shard attempt, parented under
-	// SpanParent — and grafts each completed lease's worker spans under
-	// its lease span, stitching the fleet's recordings into one campaign
-	// timeline. SpanSample is the per-engine-worker experiment sampling
-	// stride forwarded to workers (default obs.DefaultSampleEvery).
-	Spans      *obs.Recorder
-	SpanParent uint64
-	SpanSample int
-	// Logger receives lease lifecycle events (Debug) and worker-loss /
-	// retry events (Warn). Nil discards.
-	Logger *slog.Logger
 	// Prior and Completed resume a campaign: Completed lists the
 	// absolute experiment ranges whose outcomes in Prior are trusted —
 	// shard leases a previous coordinator merged durably (e.g. into a
@@ -151,28 +129,11 @@ func (c *Config) normalized() (Config, error) {
 	if len(out.Workers) == 0 {
 		return out, errors.New("cluster: at least one worker URL is required")
 	}
-	if out.Golden == nil {
-		return out, errors.New("cluster: Config.Golden is required")
-	}
-	if out.Tol <= 0 {
-		return out, fmt.Errorf("cluster: tolerance %g must be positive", out.Tol)
-	}
-	if out.Width == 0 {
-		out.Width = 64
-	}
-	if out.Width != 32 && out.Width != 64 {
-		return out, fmt.Errorf("cluster: width %d must be 32 or 64", out.Width)
-	}
-	if err := out.Model.Validate(out.Width); err != nil {
+	target, err := out.Campaign.NormalizedTarget()
+	if err != nil {
 		return out, fmt.Errorf("cluster: %w", err)
 	}
-	pop := out.Model.BitsPerSite(out.Width)
-	if out.Bits == 0 {
-		out.Bits = pop
-	}
-	if out.Bits < 1 || out.Bits > pop {
-		return out, fmt.Errorf("cluster: bits %d outside [1, %d] (fault model %q)", out.Bits, pop, out.Model)
-	}
+	out.Campaign = target
 	if out.ShardSize <= 0 {
 		out.ShardSize = DefaultShardSize
 	}
@@ -190,12 +151,6 @@ func (c *Config) normalized() (Config, error) {
 	}
 	if out.BackoffCap <= 0 {
 		out.BackoffCap = DefaultBackoffCap
-	}
-	if out.Context == nil {
-		out.Context = context.Background()
-	}
-	if out.Logger == nil {
-		out.Logger = slog.New(slog.DiscardHandler)
 	}
 	return out, nil
 }
@@ -240,7 +195,7 @@ func (co *coordinator) fail(err error) {
 	})
 }
 
-// Exhaustive runs the complete campaign — every one of cfg.Bits flips at
+// Exhaustive runs the complete campaign — every one of cfg.Campaign.Bits flips at
 // every golden site — sharded across cfg.Workers. The merged ground
 // truth is byte-identical to campaign.Exhaustive with the same fault
 // model: scheduling, worker count, retries, and shard return order are
@@ -253,14 +208,14 @@ func Exhaustive(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sites := cfg.Golden.Sites()
-	total := sites * cfg.Bits
-	gt, gaps, err := campaign.Resume(cfg.Prior, cfg.Completed, sites, cfg.Bits, cfg.Width)
+	sites := cfg.Campaign.Golden.Sites()
+	total := sites * cfg.Campaign.Bits
+	gt, gaps, err := campaign.Resume(cfg.Prior, cfg.Completed, sites, cfg.Campaign.Bits, cfg.Campaign.Width)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
-	ctx, cancel := context.WithCancel(cfg.Context)
+	ctx, cancel := context.WithCancel(cfg.Campaign.Context)
 	defer cancel()
 	co := &coordinator{
 		cfg:    cfg,
@@ -298,7 +253,7 @@ func Exhaustive(cfg Config) (*Result, error) {
 		co.once.Do(func() { close(co.done) })
 	}
 
-	cfg.Logger.Debug("cluster campaign start",
+	cfg.Campaign.Logger.Debug("cluster campaign start",
 		"workers", len(cfg.Workers), "experiments", total-co.doneCount, "shards", len(leases),
 		"shard_size", cfg.ShardSize, "resumed_ranges", len(cfg.Completed),
 		"lease_timeout", cfg.LeaseTimeout)
@@ -306,7 +261,7 @@ func Exhaustive(cfg Config) (*Result, error) {
 	// Validate every worker's identity up front: a mismatched worker is
 	// a deployment error that would silently corrupt the merged oracle,
 	// so it fails the campaign rather than being quietly skipped.
-	wantCRC := GoldenCRC(cfg.Golden)
+	wantCRC := GoldenCRC(cfg.Campaign.Golden)
 	clients := make([]*workerClient, len(cfg.Workers))
 	for i, url := range cfg.Workers {
 		wc := newWorkerClient(url, cfg)
@@ -336,20 +291,20 @@ func Exhaustive(cfg Config) (*Result, error) {
 	}
 	err = co.firstErr
 	if err == nil {
-		err = cfg.Context.Err()
+		err = cfg.Campaign.Context.Err()
 	}
 	if err == nil && co.doneCount < total {
 		err = fmt.Errorf("cluster: all workers lost with %d/%d experiments incomplete (frontier %d)",
 			total-co.doneCount, total, res.Frontier)
 	}
-	cfg.Logger.Debug("cluster campaign stop",
+	cfg.Campaign.Logger.Debug("cluster campaign stop",
 		"frontier", res.Frontier, "experiments", total, "shards", co.shards,
 		"retries", co.retries, "workers_lost", co.lost,
 		"elapsed", time.Since(co.began), "err", err)
 	if err != nil {
 		return res, err
 	}
-	if err := gt.Validate(cfg.Golden); err != nil {
+	if err := gt.Validate(cfg.Campaign.Golden); err != nil {
 		return res, fmt.Errorf("cluster: merged ground truth failed validation: %w", err)
 	}
 	return res, nil
@@ -376,8 +331,8 @@ func (co *coordinator) runWorker(ctx context.Context, wc *workerClient, wantCRC 
 		seq++
 		leaseID := fmt.Sprintf("%s#%d", wc.url, seq)
 		sampleEvery := 0
-		if cfg.Spans != nil {
-			sampleEvery = cfg.SpanSample
+		if cfg.Campaign.Spans != nil {
+			sampleEvery = cfg.Campaign.SpanSample
 			if sampleEvery <= 0 {
 				sampleEvery = obs.DefaultSampleEvery
 			}
@@ -385,18 +340,18 @@ func (co *coordinator) runWorker(ctx context.Context, wc *workerClient, wantCRC 
 		// The lease span covers the attempt's full round trip including
 		// the merge; failed attempts are recorded too (meta 0), so retry
 		// cost shows up in the timeline instead of vanishing.
-		ls := cfg.Spans.Start(obs.CatLease, leaseID, cfg.SpanParent, -1)
+		ls := cfg.Campaign.Spans.Start(obs.CatLease, leaseID, cfg.Campaign.SpanParent, -1)
 		fault := ""
-		if !cfg.Model.IsDefault() {
-			fault = cfg.Model.String()
+		if !cfg.Campaign.Model.IsDefault() {
+			fault = cfg.Campaign.Model.String()
 		}
 		resp, err := wc.run(ctx, runRequest{
 			Lease:      leaseID,
 			Lo:         l.lo,
 			Hi:         l.hi,
-			Bits:       cfg.Bits,
-			Width:      cfg.Width,
-			Tol:        cfg.Tol,
+			Bits:       cfg.Campaign.Bits,
+			Width:      cfg.Campaign.Width,
+			Tol:        cfg.Campaign.Tol,
 			GoldenCRC:  wantCRC,
 			Fault:      fault,
 			SpanSample: sampleEvery,
@@ -416,7 +371,7 @@ func (co *coordinator) runWorker(ctx context.Context, wc *workerClient, wantCRC 
 			co.mu.Lock()
 			co.retries++
 			co.mu.Unlock()
-			cfg.Logger.Warn("lease failed",
+			cfg.Campaign.Logger.Warn("lease failed",
 				"worker", wc.url, "lo", l.lo, "hi", l.hi,
 				"attempt", l.attempts, "consecutive_failures", failures, "err", err)
 			if l.attempts >= cfg.MaxLeaseAttempts {
@@ -429,7 +384,7 @@ func (co *coordinator) runWorker(ctx context.Context, wc *workerClient, wantCRC 
 				co.mu.Lock()
 				co.lost++
 				co.mu.Unlock()
-				cfg.Logger.Warn("worker lost", "worker", wc.url, "consecutive_failures", failures)
+				cfg.Campaign.Logger.Warn("worker lost", "worker", wc.url, "consecutive_failures", failures)
 				return
 			}
 			if !sleepCtx(ctx, backoffDelay(cfg.Backoff, cfg.BackoffCap, failures)) {
@@ -506,12 +461,12 @@ func (co *coordinator) merge(l lease, resp *runResponse, workerURL string, lease
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.shards++
-	if co.cfg.Spans != nil && len(resp.Spans) > 0 {
+	if co.cfg.Campaign.Spans != nil && len(resp.Spans) > 0 {
 		// Stitch the shard's worker-local spans into the campaign
 		// timeline: fresh IDs (worker processes allocate independently),
 		// roots re-parented under this lease's span, shard stamped with
 		// the worker URL.
-		co.cfg.Spans.Graft(resp.Spans, leaseSpan, workerURL)
+		co.cfg.Campaign.Spans.Graft(resp.Spans, leaseSpan, workerURL)
 	}
 	co.doneCount += l.hi - l.lo
 	co.counts.Merge(c)
@@ -521,10 +476,10 @@ func (co *coordinator) merge(l lease, resp *runResponse, workerURL string, lease
 	}
 	if resp.Telemetry != nil {
 		if err := co.telemetry.Merge(*resp.Telemetry, workerURL); err != nil {
-			co.cfg.Logger.Warn("merge shard telemetry", "worker", workerURL, "err", err)
-		} else if co.cfg.Collector != nil {
-			if err := co.cfg.Collector.Absorb(*resp.Telemetry); err != nil {
-				co.cfg.Logger.Warn("absorb shard telemetry", "worker", workerURL, "err", err)
+			co.cfg.Campaign.Logger.Warn("merge shard telemetry", "worker", workerURL, "err", err)
+		} else if co.cfg.Campaign.Collector != nil {
+			if err := co.cfg.Campaign.Collector.Absorb(*resp.Telemetry); err != nil {
+				co.cfg.Campaign.Logger.Warn("absorb shard telemetry", "worker", workerURL, "err", err)
 			}
 		}
 	}
@@ -532,7 +487,7 @@ func (co *coordinator) merge(l lease, resp *runResponse, workerURL string, lease
 	if co.cfg.OnShard != nil {
 		hookErr = co.cfg.OnShard(l.lo, l.hi, co.gt.Kinds[l.lo:l.hi])
 	}
-	if co.cfg.Observer != nil {
+	if co.cfg.Campaign.Observer != nil {
 		e := campaign.Event{
 			Phase:    "exhaustive",
 			Done:     co.doneCount,
@@ -544,7 +499,7 @@ func (co *coordinator) merge(l lease, resp *runResponse, workerURL string, lease
 		if secs := e.Elapsed.Seconds(); secs > 0 {
 			e.PerSec = float64(co.doneCount) / secs
 		}
-		co.cfg.Observer.OnProgress(e)
+		co.cfg.Campaign.Observer.OnProgress(e)
 	}
 	return hookErr
 }
@@ -581,8 +536,8 @@ func (wc *workerClient) checkInfo(ctx context.Context, wantCRC uint32, sites int
 		if info.Sites != sites {
 			return fmt.Errorf("cluster: worker %s has %d sites, campaign %d", wc.url, info.Sites, sites)
 		}
-		if info.Width != wc.cfg.Width {
-			return fmt.Errorf("cluster: worker %s has width %d, campaign %d", wc.url, info.Width, wc.cfg.Width)
+		if info.Width != wc.cfg.Campaign.Width {
+			return fmt.Errorf("cluster: worker %s has width %d, campaign %d", wc.url, info.Width, wc.cfg.Campaign.Width)
 		}
 		if info.GoldenCRC != wantCRC {
 			return fmt.Errorf("cluster: worker %s golden fingerprint %#x does not match campaign %#x", wc.url, info.GoldenCRC, wantCRC)

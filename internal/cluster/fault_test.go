@@ -38,11 +38,13 @@ func TestClusterFaultModelMatchesInProcess(t *testing.T) {
 	_, w1 := startTestWorker(t, name, nil)
 	_, w2 := startTestWorker(t, name, nil)
 	res, err := Exhaustive(Config{
+		Campaign: campaign.Config{
+			Golden: golden,
+			Tol:    tol,
+			Model:  model,
+		},
 		Workers:   []string{w1.URL, w2.URL},
-		Golden:    golden,
 		Program:   name,
-		Tol:       tol,
-		Model:     model,
 		ShardSize: 53,
 	})
 	if err != nil {
@@ -65,13 +67,15 @@ func TestWorkerRejectsBadFaultModel(t *testing.T) {
 	}
 	_, srv := startTestWorker(t, "cg", nil)
 	base := Config{
+		Campaign: campaign.Config{
+			Golden: golden,
+			Tol:    testTolerance(t, "cg"),
+		},
 		Workers: []string{srv.URL},
-		Golden:  golden,
-		Tol:     testTolerance(t, "cg"),
 	}
 
 	bad := base
-	bad.Model = bits.FaultModel{Kind: bits.FaultMultiFlip, Region: bits.RegionSign, K: 2}
+	bad.Campaign.Model = bits.FaultModel{Kind: bits.FaultMultiFlip, Region: bits.RegionSign, K: 2}
 	if _, err := Exhaustive(bad); err == nil {
 		t.Fatal("coordinator accepted an over-arity fault model")
 	}
@@ -81,7 +85,7 @@ func TestWorkerRejectsBadFaultModel(t *testing.T) {
 	wc := &workerClient{url: srv.URL, client: srv.Client()}
 	if _, err := wc.run(t.Context(), runRequest{
 		Lease: "l1", Lo: 0, Hi: 4, Bits: 64, Width: 64,
-		Tol: base.Tol, GoldenCRC: GoldenCRC(golden), Fault: "nonsense",
+		Tol: base.Campaign.Tol, GoldenCRC: GoldenCRC(golden), Fault: "nonsense",
 	}); err == nil {
 		t.Fatal("worker accepted an unparseable fault model")
 	}

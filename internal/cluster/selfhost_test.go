@@ -89,11 +89,13 @@ func TestSelfHostDeterminism(t *testing.T) {
 
 	procs := spawnTestWorkers(t, name+":"+kernels.SizeTest, 4)
 	res, err := Exhaustive(Config{
+		Campaign: campaign.Config{
+			Golden: golden,
+			Tol:    tol,
+			Bits:   bits,
+		},
 		Workers:   URLs(procs),
-		Golden:    golden,
 		Program:   name,
-		Tol:       tol,
-		Bits:      bits,
 		ShardSize: 64,
 	})
 	if err != nil {
@@ -130,28 +132,30 @@ func TestSelfHostWorkerKill(t *testing.T) {
 	rec := obs.NewRecorder()
 	root := rec.Start(obs.CatCampaign, name, 0, -1)
 	res, err := Exhaustive(Config{
+		Campaign: campaign.Config{
+			Golden:     golden,
+			Tol:        tol,
+			Bits:       bits,
+			Spans:      rec,
+			SpanParent: root.ID(),
+			Observer: campaign.ObserverFunc(func(e campaign.Event) {
+				// SIGKILL the victim after the first shard lands, while more
+				// than half the campaign remains. The observer runs under
+				// the coordinator's merge lock, so the kill is guaranteed to
+				// land mid-campaign.
+				if !killed && e.Done > 0 && e.Done < e.Total/2 {
+					killed = true
+					victim.Kill()
+				}
+			}),
+		},
 		Workers:           URLs(procs),
-		Golden:            golden,
 		Program:           name,
-		Tol:               tol,
-		Bits:              bits,
 		ShardSize:         32,
 		Backoff:           time.Millisecond,
 		MaxWorkerFailures: 2,
 		MaxLeaseAttempts:  100,
 		LeaseTimeout:      30 * time.Second,
-		Spans:             rec,
-		SpanParent:        root.ID(),
-		Observer: campaign.ObserverFunc(func(e campaign.Event) {
-			// SIGKILL the victim after the first shard lands, while more
-			// than half the campaign remains. The observer runs under
-			// the coordinator's merge lock, so the kill is guaranteed to
-			// land mid-campaign.
-			if !killed && e.Done > 0 && e.Done < e.Total/2 {
-				killed = true
-				victim.Kill()
-			}
-		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +222,9 @@ func TestSpawnWorkerFailures(t *testing.T) {
 
 // BenchmarkClusterOverhead measures the coordinator tax: the same
 // exhaustive campaign in-process versus through one self-hosted worker.
-// The selfhost/1 figure must stay within ~10% of inprocess (recorded in
-// BENCH_cluster.json; gated by `make bench-check`). The campaign is
+// The recorded selfhost1/inprocess ratio is 1.54 (BENCH_cluster.json).
+// Nothing gates the ratio; `make bench-check` compares each side's
+// ns/op with its own recording only. The campaign is
 // sized (16 bits, ~6.7k experiments) so the fixed per-campaign HTTP
 // costs amortize the way they do in real runs; tiny campaigns would
 // measure connection setup, not steady-state sharding. Both sides
@@ -259,11 +264,13 @@ func BenchmarkClusterOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := Exhaustive(Config{
+				Campaign: campaign.Config{
+					Golden: golden,
+					Tol:    tol,
+					Bits:   bits,
+				},
 				Workers:   URLs(procs),
-				Golden:    golden,
 				Program:   name,
-				Tol:       tol,
-				Bits:      bits,
 				ShardSize: 4096,
 			}); err != nil {
 				b.Fatal(err)

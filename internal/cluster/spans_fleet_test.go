@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ftb/internal/campaign"
 	"ftb/internal/obs"
 	"ftb/internal/trace"
 )
@@ -33,15 +34,17 @@ func TestClusterSpansStitched(t *testing.T) {
 	rec := obs.NewRecorder()
 	root := rec.Start(obs.CatCampaign, name, 0, -1)
 	res, err := Exhaustive(Config{
-		Workers:    []string{w1.URL, w2.URL},
-		Golden:     golden,
-		Program:    name,
-		Tol:        tol,
-		Bits:       bits,
-		ShardSize:  64,
-		Spans:      rec,
-		SpanParent: root.ID(),
-		SpanSample: 1,
+		Campaign: campaign.Config{
+			Golden:     golden,
+			Tol:        tol,
+			Bits:       bits,
+			Spans:      rec,
+			SpanParent: root.ID(),
+			SpanSample: 1,
+		},
+		Workers:   []string{w1.URL, w2.URL},
+		Program:   name,
+		ShardSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +126,13 @@ func TestFetchFleetWithDeadWorker(t *testing.T) {
 	dead.Close() // the fleet-view stand-in for a SIGKILL'd worker
 
 	if _, err := Exhaustive(Config{
+		Campaign: campaign.Config{
+			Golden: golden,
+			Tol:    tol,
+			Bits:   bits,
+		},
 		Workers:   []string{w1.URL, w2.URL},
-		Golden:    golden,
 		Program:   name,
-		Tol:       tol,
-		Bits:      bits,
 		ShardSize: 64,
 	}); err != nil {
 		t.Fatal(err)

@@ -236,7 +236,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	if req.SpanSample > 0 {
 		spans = obs.NewRecorder()
 	}
-	recs, err := campaign.RunPairsInPhase(campaign.Config{
+	recs := make([]campaign.Record, len(pairs))
+	err = campaign.RunPairsInPhase(campaign.Config{
 		Factory:   w.cfg.Factory,
 		Golden:    w.cfg.Golden,
 		Tol:       req.Tol,
@@ -256,7 +257,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		Replay:     true,
 		Spans:      spans,
 		SpanSample: req.SpanSample,
-	}, pairs, "exhaustive")
+	}, pairs, "exhaustive", recs)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if r.Context().Err() != nil {

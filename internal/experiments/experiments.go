@@ -18,8 +18,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -39,22 +39,11 @@ type Scale struct {
 	Trials int
 	// Seed drives all sampling.
 	Seed uint64
-	// Context, when non-nil, cancels the experiment's campaigns: the
-	// experiment returns the context's error instead of running to
-	// completion.
-	Context context.Context
-	// Observer, when non-nil, receives progress events from every
-	// campaign the experiment runs. Callbacks must be cheap and
-	// non-blocking.
-	Observer ftb.Observer
-	// RunOptions are applied to every campaign the experiment runs, after
-	// Context and Observer (so an explicit option wins over the fields).
+	// RunOptions are applied to every campaign the experiment runs:
+	// cancellation (ftb.WithContext), progress (ftb.WithObserver),
+	// trajectory recording (ftb.WithPropTrace), workers, replay, spans
+	// and logging all reach the experiment's campaigns this way.
 	RunOptions []ftb.RunOption
-	// PropTrace, when non-nil, records a propagation trajectory for every
-	// classification experiment (sampling and exhaustive alike) into the
-	// sink. Tracing switches campaigns to diff mode, roughly doubling the
-	// per-experiment cost.
-	PropTrace ftb.TrajectorySink
 	// Collector, when non-nil, receives campaign metrics from every
 	// campaign the experiment runs, and each experiment's work is
 	// attributed to a telemetry section named after it ("table1",
@@ -102,7 +91,7 @@ var gtCache = struct {
 
 // setup builds analyses and ground truths for the given kernels, reusing
 // cached exhaustive campaigns. The returned analyses carry the scale's
-// context and observer; the cache stores the plumbing-free originals so a
+// run options; the cache stores the plumbing-free originals so a
 // cancelled context from one caller never leaks into another.
 func setup(names []string, s Scale) ([]bench, error) {
 	out := make([]bench, 0, len(names))
@@ -214,23 +203,13 @@ func adaptiveOptions(seed uint64) ftb.ProgressiveOptions {
 	}
 }
 
-// withScale attaches the scale's execution plumbing — cancellation
-// context, progress observer, extra RunOptions, and metrics collector —
-// to an analysis (returning a derived copy).
+// withScale attaches the scale's execution plumbing — its RunOptions and
+// metrics collector — to an analysis (returning a derived copy).
 func withScale(an *ftb.Analysis, s Scale) *ftb.Analysis {
-	var opts []ftb.RunOption
-	if s.Context != nil {
-		opts = append(opts, ftb.WithContext(s.Context))
-	}
-	if s.Observer != nil {
-		opts = append(opts, ftb.WithObserver(s.Observer))
-	}
-	if s.PropTrace != nil {
-		opts = append(opts, ftb.WithPropTrace(s.PropTrace))
-	}
-	opts = append(opts, s.RunOptions...)
+	opts := s.RunOptions
 	if s.Collector != nil {
-		opts = append(opts, ftb.WithCollector(s.Collector))
+		// Clip so the append never writes into the caller's slice.
+		opts = append(slices.Clip(opts), ftb.WithCollector(s.Collector))
 	}
 	if len(opts) == 0 {
 		return an

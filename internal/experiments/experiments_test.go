@@ -372,7 +372,7 @@ func TestScalePropTrace(t *testing.T) {
 	buf := ftb.NewTrajectoryBuffer()
 	s := ScaleTest
 	s.Seed = 103
-	s.PropTrace = buf
+	s.RunOptions = []ftb.RunOption{ftb.WithPropTrace(buf)}
 	// Table 3's progressive campaigns run fresh at this seed, so
 	// trajectories must accrue regardless of test ordering.
 	if _, err := Table3(s); err != nil {
@@ -380,7 +380,7 @@ func TestScalePropTrace(t *testing.T) {
 	}
 	ts := buf.Trajectories()
 	if len(ts) == 0 {
-		t.Fatal("Scale.PropTrace recorded no trajectories")
+		t.Fatal("WithPropTrace in Scale.RunOptions recorded no trajectories")
 	}
 	for _, tr := range ts {
 		if tr.Program == "" || tr.Outcome == "" {
@@ -475,7 +475,7 @@ func TestCancelledCampaignNotMemoized(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cancelled := s
-	cancelled.Context = ctx
+	cancelled.RunOptions = []ftb.RunOption{ftb.WithContext(ctx)}
 	if _, err := Table3(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Table3 returned %v, want context.Canceled", err)
 	}

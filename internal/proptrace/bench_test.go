@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ftb/internal/kernels"
+	"ftb/internal/outcome"
 	"ftb/internal/proptrace"
 	"ftb/internal/trace"
 )
@@ -70,7 +71,7 @@ func measureRecorderPair() {
 				panic(err)
 			}
 			if recording {
-				rec.EndRun("masked", res.InjErr, 0, res.CrashAt)
+				rec.EndRun(outcome.Masked, res.InjErr, 0, res.CrashAt)
 			}
 		}
 		return time.Since(start)

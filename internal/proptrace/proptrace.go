@@ -32,6 +32,8 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+
+	"ftb/internal/outcome"
 )
 
 // Float is a float64 that survives JSON round-trips even when
@@ -185,9 +187,9 @@ func (o Options) normalized() Options {
 }
 
 // Recorder condenses one run's diff stream at a time into a Trajectory
-// and hands it to a Sink. It implements campaign.Tracer (and therefore
+// and hands it to a Sink. It implements campaign.RunSink (and therefore
 // trace.DiffSink); a Recorder serves one goroutine — campaigns build one
-// per worker via Factory.
+// per worker through campaign.Config.Sink.
 type Recorder struct {
 	// Hot-path state leads the struct so Observe's working set spans as
 	// few cache lines as possible; EndRun folds it back into cur. The
@@ -223,7 +225,7 @@ func NewRecorder(sink Sink, opts Options) *Recorder {
 	}
 }
 
-// BeginRun implements campaign.Tracer: arm the recorder for one
+// BeginRun implements campaign.RunSink: arm the recorder for one
 // injection run. Standalone callers may pass run = worker = -1.
 func (r *Recorder) BeginRun(run, worker int, site int, bit uint8) {
 	r.cur = Trajectory{
@@ -317,16 +319,16 @@ func blownUp(golden, delta, rel float64) bool {
 	return delta > rel*ag
 }
 
-// EndRun implements campaign.Tracer: close the armed run with its
+// EndRun implements campaign.RunSink: close the armed run with its
 // classified outcome and deliver the trajectory. crashSite is the
 // faulting store for crashed runs, -1 otherwise.
-func (r *Recorder) EndRun(outcome string, injErr, outErr float64, crashSite int) {
+func (r *Recorder) EndRun(kind outcome.Kind, injErr, outErr float64, crashSite int) {
 	if !r.armed {
 		return
 	}
 	r.armed = false
 	t := r.cur
-	t.Outcome = outcome
+	t.Outcome = kind.String()
 	t.InjErr = Float(injErr)
 	t.OutErr = Float(outErr)
 	t.CrashSite = crashSite

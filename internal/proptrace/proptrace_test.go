@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ftb/internal/outcome"
 )
 
 // feed drives a recorder through one synthetic run: site/delta pairs in
@@ -13,7 +15,7 @@ func feed(r *Recorder, run, worker, site int, bit uint8, deltas []float64) {
 	for i, d := range deltas {
 		r.Observe(i, 1.0, d)
 	}
-	r.EndRun("masked", deltas[site], 0, -1)
+	r.EndRun(outcome.Masked, deltas[site], 0, -1)
 }
 
 func TestRecorderLandmarks(t *testing.T) {
@@ -68,7 +70,7 @@ func TestRecorderStrideDoublingBoundsSamples(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r.Observe(i, 1.0, 1e-3+float64(i))
 	}
-	r.EndRun("sdc", 1, 2, -1)
+	r.EndRun(outcome.SDC, 1, 2, -1)
 	tr := buf.Trajectories()[0]
 	if len(tr.Samples) > cap {
 		t.Fatalf("%d samples exceed cap %d", len(tr.Samples), cap)
@@ -101,7 +103,7 @@ func TestRecorderDeterministic(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			r.Observe(i, float64(i), float64(i%17)*1e-6)
 		}
-		r.EndRun("masked", 1e-6, 0, -1)
+		r.EndRun(outcome.Masked, 1e-6, 0, -1)
 		return buf.Trajectories()[0]
 	}
 	a, b := run(), run()
@@ -123,7 +125,7 @@ func TestRecorderCrashRun(t *testing.T) {
 	for i := 0; i < 5; i++ { // crash after observing site 4
 		r.Observe(i, 1.0, 0)
 	}
-	r.EndRun("crash", math.Inf(1), math.Inf(1), 5)
+	r.EndRun(outcome.Crash, math.Inf(1), math.Inf(1), 5)
 	tr := buf.Trajectories()[0]
 	if tr.Outcome != "crash" || tr.CrashSite != 5 {
 		t.Errorf("%+v", tr)
@@ -137,7 +139,7 @@ func TestRecorderUnarmedObserveIsNoop(t *testing.T) {
 	buf := NewBuffer()
 	r := NewRecorder(buf, Options{})
 	r.Observe(0, 1, 1) // must not panic or record
-	r.EndRun("masked", 0, 0, -1)
+	r.EndRun(outcome.Masked, 0, 0, -1)
 	if buf.Len() != 0 {
 		t.Errorf("unarmed EndRun recorded a trajectory")
 	}
@@ -149,7 +151,7 @@ func TestBufferSortsByRun(t *testing.T) {
 		r := NewRecorder(buf, Options{})
 		r.BeginRun(run, 0, 0, 0)
 		r.Observe(0, 1, 0.5)
-		r.EndRun("masked", 0.5, 0, -1)
+		r.EndRun(outcome.Masked, 0.5, 0, -1)
 	}
 	ts := buf.Trajectories()
 	if ts[0].Run != 1 || ts[1].Run != 3 || ts[2].Run != 5 {
@@ -166,7 +168,7 @@ func TestAggregateAndRender(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			r.Observe(i, 1.0, math.Pow(10, -float64(i)/20))
 		}
-		r.EndRun("masked", 1, 0, -1)
+		r.EndRun(outcome.Masked, 1, 0, -1)
 	}
 	p := Aggregate(buf.Trajectories(), 200, 40, 8)
 	if p.Trajectories != 2 || p.Samples == 0 {

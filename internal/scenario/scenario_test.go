@@ -173,3 +173,21 @@ func TestLoadDir(t *testing.T) {
 		t.Fatal("empty dir accepted")
 	}
 }
+
+// FuzzParse feeds arbitrary documents to the scenario parser. Parse must
+// return a scenario or an error, never panic, and so must Validate on
+// whatever Parse accepts. The seed corpus in testdata/fuzz/FuzzParse
+// holds the checked-in scenario files and documents that each break one
+// rule of the format.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src []byte) {
+		sc, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if sc == nil {
+			t.Fatal("Parse: nil scenario without error")
+		}
+		_ = sc.Validate()
+	})
+}

@@ -354,8 +354,9 @@ func (r *CampaignRecorder) Run(worker int, kind outcome.Kind, d time.Duration) {
 }
 
 // Traced records that the given worker's last completed experiment also
-// recorded a propagation trajectory (the campaign ran with a tracer
-// attached). Like Run, it is a single striped atomic add.
+// recorded a propagation trajectory (the campaign ran with a run sink
+// attached, outside the "propagate" phase). Like Run, it is a single
+// striped atomic add.
 func (r *CampaignRecorder) Traced(worker int) {
 	r.ph.traced.add(worker&stripeMask, 1)
 }

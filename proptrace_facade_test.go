@@ -97,3 +97,54 @@ func TestTrajectoryRoundTripThroughFacade(t *testing.T) {
 		t.Error("chrome export missing traceEvents envelope")
 	}
 }
+
+// TestInferTrajectoryCount pins what the collector counts as a
+// trajectory when inference streams both of its passes through run
+// sinks: only runs a WithPropTrace recorder saw. The propagate pass feeds
+// Algorithm 1's fold, so it adds experiments (one per masked sample) but
+// never trajectories.
+func TestInferTrajectoryCount(t *testing.T) {
+	an, err := NewKernelAnalysis("cg", SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := InferOptions{SampleFrac: 0.05, Seed: 7}
+	for _, traced := range []bool{false, true} {
+		col := NewCollector()
+		run := []RunOption{WithCollector(col)}
+		buf := NewTrajectoryBuffer()
+		if traced {
+			run = append(run, WithPropTrace(buf))
+		}
+		res, err := an.InferBoundary(opts, run...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var masked int64
+		for _, rec := range res.Records() {
+			if rec.Kind == Masked {
+				masked++
+			}
+		}
+		snap := col.Snapshot()
+		classify, propagate := snap.Phases["classify"], snap.Phases["propagate"]
+		if masked == 0 || propagate.Experiments != masked {
+			t.Errorf("traced=%v: propagate experiments = %d, want the %d masked classify records",
+				traced, propagate.Experiments, masked)
+		}
+		if propagate.Trajectories != 0 {
+			t.Errorf("traced=%v: propagate trajectories = %d, want 0", traced, propagate.Trajectories)
+		}
+		want := int64(0)
+		if traced {
+			want = classify.Experiments
+			if n := int64(len(buf.Trajectories())); n != want {
+				t.Errorf("recorder delivered %d trajectories, want %d", n, want)
+			}
+		}
+		if snap.Trajectories != want {
+			t.Errorf("traced=%v: Trajectories = %d, want %d (classify runs %d)",
+				traced, snap.Trajectories, want, classify.Experiments)
+		}
+	}
+}

@@ -80,11 +80,11 @@ func NewScenarioAnalysis(sc *Scenario) (*Analysis, error) {
 			panic(err) // registry and size validated above
 		}
 		return kk
-	}, tol, Options{Width: k.Width(), Workers: sc.Workers})
+	}, tol, Options{Width: k.Width()})
 	if err != nil {
 		return nil, err
 	}
-	return an.With(WithFaultModel(model)), nil
+	return an.With(WithWorkers(sc.Workers), WithFaultModel(model)), nil
 }
 
 // RunScenario executes one scenario end to end and evaluates its gates.

@@ -195,11 +195,11 @@ func (p *gateProg) Run(c *Ctx) []float64 {
 func gateAnalysis(t *testing.T, gate func()) *Analysis {
 	t.Helper()
 	an, err := NewAnalysis(func() Program { return &gateProg{sites: 64, gate: gate} }, 1e-3,
-		Options{Bits: 2, Workers: 2})
+		Options{Bits: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return an
+	return an.With(WithWorkers(2))
 }
 
 // TestWithStoreKeepsOutOfOrderRangesOnCancel holds the site-0 batch
