@@ -43,7 +43,7 @@
 // Analysis. RunOptions are the only way to configure a run: Options
 // describes just the program's fault space (Bits, Width), and no other
 // struct re-declares a RunOption's hook. Every campaign the call starts
-// — classification, the propagate pass of inference, cluster shards —
+// — classification, inference, cluster shards —
 // receives the same resolved configuration.
 //
 // # Compositional section campaigns

@@ -227,7 +227,7 @@ func TestBuilderAlgorithm1(t *testing.T) {
 	}
 	w.EndRun(outcome.SDC, 100, 0, -1)
 
-	if err := b.MergeWorkers([]campaign.RunSink{w}); err != nil {
+	if err := b.MergeWorkers([]campaign.RunSink{w}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{0, 3, 3, 5, 5}
@@ -256,7 +256,7 @@ func TestBuilderFilterDropsAboveSDCFloor(t *testing.T) {
 	w.Observe(2, g.Trace[2], 3.0)
 	w.Observe(3, g.Trace[3], 1.0)
 	w.EndRun(outcome.Masked, 0.5, 0, -1)
-	if err := b.MergeWorkers([]campaign.RunSink{w}); err != nil {
+	if err := b.MergeWorkers([]campaign.RunSink{w}, nil); err != nil {
 		t.Fatal(err)
 	}
 	bd := b.Finalize()
@@ -273,7 +273,7 @@ func TestBuilderFilterDropsAboveSDCFloor(t *testing.T) {
 	w2.BeginRun(0, 0, 0, 9)
 	w2.Observe(2, g.Trace[2], 3.0)
 	w2.EndRun(outcome.Masked, 0.5, 0, -1)
-	if err := b2.MergeWorkers([]campaign.RunSink{w2}); err != nil {
+	if err := b2.MergeWorkers([]campaign.RunSink{w2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := b2.Finalize().Thresholds[2]; got != 3.0 {
@@ -305,7 +305,7 @@ func TestMergeWorkersBothFolds(t *testing.T) {
 		run(w1, 0, 1.0, 3.0, 1.0, 0.5) // site 1 above its floor
 		run(w2, 0, 2.0, 1.5, 5.0, 0.25)
 		run(w3, 0, 0.5, 2.0, 4.0, 2.0) // exactly at both floors: kept
-		if err := b.MergeWorkers([]campaign.RunSink{w1, w2, w3}); err != nil {
+		if err := b.MergeWorkers([]campaign.RunSink{w1, w2, w3}, nil); err != nil {
 			t.Fatal(err)
 		}
 		wantRaw := []float64{2.0, 3.0, 5.0, 2.0}
@@ -354,7 +354,7 @@ func TestMergeWorkersRejectsForeignSink(t *testing.T) {
 	g := mustGolden(t, p)
 	b := NewBuilder(g, false)
 	other := NewBuilder(g, false)
-	if err := b.MergeWorkers([]campaign.RunSink{other.NewWorker()}); err == nil {
+	if err := b.MergeWorkers([]campaign.RunSink{other.NewWorker()}, nil); err == nil {
 		t.Error("foreign worker accepted")
 	}
 }
@@ -615,7 +615,7 @@ func TestMeanReachOnChain(t *testing.T) {
 		w.Observe(j, cfg.Golden.Trace[j], d)
 	}
 	w.EndRun(outcome.Masked, 1e-7, 0, -1)
-	if err := b.MergeWorkers([]campaign.RunSink{w}); err != nil {
+	if err := b.MergeWorkers([]campaign.RunSink{w}, nil); err != nil {
 		t.Fatal(err)
 	}
 	reach := b.MeanReach()
@@ -650,7 +650,7 @@ func TestMeanReachAveragesAcrossRuns(t *testing.T) {
 		}
 		w.EndRun(outcome.Masked, 0.5, 0, -1)
 	}
-	if err := b.MergeWorkers([]campaign.RunSink{w}); err != nil {
+	if err := b.MergeWorkers([]campaign.RunSink{w}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.MeanReach()[1]; got != 2 {

@@ -2,9 +2,11 @@ package boundary
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ftb/internal/campaign"
 	"ftb/internal/outcome"
@@ -14,23 +16,27 @@ import (
 // Builder infers a fault tolerance boundary from sampled fault-injection
 // experiments (Algorithm 1 plus the §3.5 filter operation).
 //
-// Usage follows the two passes of a sampled campaign:
+// Absorb ingests one round of samples in a single campaign pass: every
+// sample runs once, in diff mode, with Config.Sink handing each engine
+// worker a sink from NewWorker. The classified records teach the filter
+// (the smallest injected error known to cause SDC per site) and the
+// per-site information counts used by adaptive sampling. Each masked
+// run's propagation deltas raise the per-site thresholds
+// (Δe_j = max(Δe_j, s_i[j])). The Builder folds every delta twice: once
+// unfiltered, and once with the filter, which discards deltas above the
+// site's known-SDC minimum.
 //
-//  1. Feed every classified sample to ObserveRecord. SDC records teach the
-//     filter (the smallest injected error known to cause SDC per site);
-//     all records teach the per-site information counts used by adaptive
-//     sampling.
-//  2. Run the masked samples through campaign.RunPairsInPhase as the
-//     "propagate" phase, with Config.Sink handing each engine worker a
-//     sink from NewWorker, then call MergeWorkers. Each masked run's
-//     propagation deltas raise the per-site thresholds
-//     (Δe_j = max(Δe_j, s_i[j])). The Builder folds every delta twice:
-//     once unfiltered, and once with the filter, which discards deltas
-//     above the site's known-SDC minimum.
+// The filter stays exact although a round's SDC floors are known only
+// when its pass ends. A site's final floor is either its floor before
+// the round or the injected error of a pair sampled at it, and both are
+// known before the pass. So each round opens a fold whose bucket edges
+// are those candidate floors, workers keep the largest masked delta per
+// bucket, and MergeWorkers reads each site's filtered threshold off the
+// buckets at or below its final floor.
 //
 // Finalize returns the boundary under the filter setting chosen at
 // NewBuilder, FinalizeFilter under either setting. The Builder can keep
-// absorbing further rounds (progressive sampling re-enters both passes).
+// absorbing further rounds (progressive sampling).
 type Builder struct {
 	golden *trace.GoldenRun
 	filter bool
@@ -41,6 +47,8 @@ type Builder struct {
 	minSDC     []float64 // smallest known SDC injected error per site
 	reachSum   []int64   // total sites significantly perturbed, per injection site
 	reachRuns  []int64   // masked propagation runs observed, per injection site
+
+	round *roundFold // the open round's filter buckets; nil between rounds
 }
 
 // NewBuilder returns a Builder for the given golden run. filter selects
@@ -67,9 +75,10 @@ func NewBuilder(golden *trace.GoldenRun, filter bool) *Builder {
 // Sites returns the number of dynamic instructions covered.
 func (b *Builder) Sites() int { return len(b.thresholds) }
 
-// ObserveRecord ingests one classified sample (pass 1). SDC records
-// update the filter floor; every record with a significant injected error
-// counts as information at its site.
+// ObserveRecord ingests one classified sample; MergeWorkers calls it for
+// every record of the round it closes. SDC records update the filter
+// floor; every record with a significant injected error counts as
+// information at its site.
 func (b *Builder) ObserveRecord(rec campaign.Record) {
 	if rec.Kind == outcome.SDC && rec.InjErr < b.minSDC[rec.Site] {
 		b.minSDC[rec.Site] = rec.InjErr
@@ -134,16 +143,124 @@ func (b *Builder) FinalizeFilter(filter bool) *Boundary {
 	return &Boundary{Thresholds: slices.Clone(src)}
 }
 
+// roundFold holds one round's candidate filter floors and the masked
+// deltas bucketed between them, for every site in one CSR layout. Site
+// j's candidates are edges[off[j]:off[j+1]], sorted ascending; bucket k
+// holds the float64 bits of the largest masked delta in
+// (edges[k-1], edges[k]], open below at a site's first edge. A delta
+// above a site's last candidate lies above any floor the site can end
+// the round with, so only the unfiltered fold keeps it. Workers share
+// the buckets: deltas are positive, so their bit patterns order like
+// the values, and a CAS on the bits raises a bucket's maximum.
+type roundFold struct {
+	off   []int
+	edges []float64
+	max   []atomic.Uint64
+}
+
+// newRoundFold collects the candidate final floors of every site: its
+// current finite floor, and each sampled pair's injected error below
+// that floor (a larger one can never become the minimum). A counting
+// sort over sites fills the CSR arrays without per-site allocations.
+// Pairs outside the golden trace are skipped; the campaign rejects them.
+func newRoundFold(golden *trace.GoldenRun, floors []float64, pairs []campaign.Pair, width int) *roundFold {
+	n := len(floors)
+	candidate := func(p campaign.Pair) (float64, bool) {
+		if p.Site < 0 || p.Site >= n {
+			return 0, false
+		}
+		e := campaign.InjErrWidth(golden, p.Site, p.Bit, width)
+		return e, e < floors[p.Site]
+	}
+	off := make([]int, n+1)
+	for _, p := range pairs {
+		if _, ok := candidate(p); ok {
+			off[p.Site+1]++
+		}
+	}
+	for j, f := range floors {
+		if !math.IsInf(f, 1) {
+			off[j+1]++
+		}
+	}
+	for j := range n {
+		off[j+1] += off[j]
+	}
+	// off[j] is site j's fill cursor; once filled, it has advanced to
+	// the site's end, which is the next site's start.
+	edges := make([]float64, off[n])
+	for _, p := range pairs {
+		if e, ok := candidate(p); ok {
+			edges[off[p.Site]] = e
+			off[p.Site]++
+		}
+	}
+	for j, f := range floors {
+		if !math.IsInf(f, 1) {
+			edges[off[j]] = f
+			off[j]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	for j := range n {
+		slices.Sort(edges[off[j]:off[j+1]])
+	}
+	return &roundFold{off: off, edges: edges, max: make([]atomic.Uint64, len(edges))}
+}
+
+// bucket returns the index of site j's first candidate at or above v, or
+// -1 when v lies above all of them. A site has a handful of candidates
+// per round, so a linear scan beats a binary search.
+func (f *roundFold) bucket(j int, v float64) int {
+	lo, hi := f.off[j], f.off[j+1]
+	if lo == hi || !(v <= f.edges[hi-1]) {
+		return -1
+	}
+	for f.edges[lo] < v {
+		lo++
+	}
+	return lo
+}
+
+// raise lifts bucket k's maximum to the positive delta d.
+func (f *roundFold) raise(k int, d float64) {
+	nb := math.Float64bits(d)
+	for {
+		old := f.max[k].Load()
+		if nb <= old || f.max[k].CompareAndSwap(old, nb) {
+			return
+		}
+	}
+}
+
+// isCandidate reports whether floor is one of site j's candidates.
+func (f *roundFold) isCandidate(j int, floor float64) bool {
+	k := f.bucket(j, floor)
+	return k >= 0 && f.edges[k] == floor
+}
+
+// below returns the largest masked delta folded at site j at or below
+// floor, one of the site's candidates.
+func (f *roundFold) below(j int, floor float64) float64 {
+	var m uint64
+	for k, last := f.off[j], f.bucket(j, floor); k <= last; k++ {
+		m = max(m, f.max[k].Load())
+	}
+	return math.Float64frombits(m)
+}
+
 // Worker is a per-goroutine propagation accumulator. It implements
 // campaign.RunSink: deltas observed during a run are buffered and
 // committed only if the run's final outcome is Masked, as Algorithm 1
-// requires. Worker state is private to one goroutine; MergeWorkers folds
-// it back into the Builder.
+// requires. Worker state is private to one goroutine, apart from the
+// round's filter buckets, which all workers raise atomically;
+// MergeWorkers folds it back into the Builder.
 type Worker struct {
 	parent *Builder
+	round  *roundFold
 
 	thresholds []float64
-	filtered   []float64
 	info       []int64
 	reachSum   []int64
 	reachRuns  []int64
@@ -153,16 +270,21 @@ type Worker struct {
 	site int       // injection site of the current run
 }
 
-// NewWorker returns a sink for one engine worker of the propagate pass.
-// The parent Builder's filter floors must be complete (pass 1 finished)
-// before any worker runs; workers read them concurrently and never
-// write them.
+// NewWorker returns a sink for one engine worker of the open round.
+// Absorb opens the round before its pass, with every floor its samples
+// can set as a candidate, and workers may then be built concurrently. A
+// Worker built outside Absorb opens a round whose candidates are the
+// current floors alone: records that lower a floor afterwards make
+// MergeWorkers fail.
 func (b *Builder) NewWorker() campaign.RunSink {
+	if b.round == nil {
+		b.round = newRoundFold(b.golden, b.minSDC, nil, 64)
+	}
 	n := b.Sites()
 	return &Worker{
 		parent:     b,
+		round:      b.round,
 		thresholds: make([]float64, n),
-		filtered:   make([]float64, n),
 		info:       make([]int64, n),
 		reachSum:   make([]int64, n),
 		reachRuns:  make([]int64, n),
@@ -196,13 +318,13 @@ func (w *Worker) ObserveZeroPrefix(n int) {
 }
 
 // EndRun implements campaign.RunSink: commit the run's deltas if it was
-// masked, to the unfiltered and the filtered thresholds alike.
+// masked, to the unfiltered thresholds and to the round's filter
+// buckets.
 func (w *Worker) EndRun(kind outcome.Kind, _, _ float64, _ int) {
 	if kind != outcome.Masked {
 		return
 	}
 	g := w.parent.golden.Trace
-	minSDC := w.parent.minSDC
 	var reach int64
 	for j := 0; j < w.seen; j++ {
 		d := w.buf[j]
@@ -218,27 +340,54 @@ func (w *Worker) EndRun(kind outcome.Kind, _, _ float64, _ int) {
 		if d > w.thresholds[j] {
 			w.thresholds[j] = d
 		}
-		if d <= minSDC[j] && d > w.filtered[j] {
-			w.filtered[j] = d
+		if k := w.round.bucket(j, d); k >= 0 {
+			w.round.raise(k, d)
 		}
 	}
 	w.reachSum[w.site] += reach
 	w.reachRuns[w.site]++
 }
 
-// MergeWorkers folds propagation accumulators back into the Builder:
-// both threshold arrays merge by max, information counts by sum.
-func (b *Builder) MergeWorkers(sinks []campaign.RunSink) error {
-	for _, s := range sinks {
+// MergeWorkers closes the open round: it ingests the round's classified
+// records through ObserveRecord, folds the workers' accumulators back
+// into the Builder (thresholds by max, information counts by sum), and
+// raises each site's filtered threshold to the largest masked delta at
+// or below the site's final floor. It returns an error, and changes
+// nothing, if a sink is not a worker of this round or a final floor is
+// not one of the round's candidates.
+func (b *Builder) MergeWorkers(sinks []campaign.RunSink, recs []campaign.Record) error {
+	f := b.round
+	if f == nil {
+		return errors.New("boundary: MergeWorkers without an open round")
+	}
+	workers := make([]*Worker, len(sinks))
+	for i, s := range sinks {
 		w, ok := s.(*Worker)
 		if !ok {
 			return errors.New("boundary: MergeWorkers received a foreign sink")
 		}
-		if w.parent != b {
-			return errors.New("boundary: MergeWorkers received a worker of a different builder")
+		if w.parent != b || w.round != f {
+			return errors.New("boundary: MergeWorkers received a worker of a different builder or round")
 		}
+		workers[i] = w
+	}
+	for j, fl := range b.minSDC {
+		if !math.IsInf(fl, 1) && !f.isCandidate(j, fl) {
+			return fmt.Errorf("boundary: site %d's SDC floor %g is not a candidate of the round", j, fl)
+		}
+	}
+	for _, rec := range recs {
+		if rec.Kind == outcome.SDC && rec.InjErr < b.minSDC[rec.Site] && !f.isCandidate(rec.Site, rec.InjErr) {
+			return fmt.Errorf("boundary: SDC record at site %d, bit %d has injected error %g, not a candidate floor of the round",
+				rec.Site, rec.Bit, rec.InjErr)
+		}
+	}
+
+	for _, rec := range recs {
+		b.ObserveRecord(rec)
+	}
+	for _, w := range workers {
 		maxInto(b.thresholds, w.thresholds)
-		maxInto(b.filtered, w.filtered)
 		for i, n := range w.info {
 			b.info[i] += n
 		}
@@ -247,6 +396,16 @@ func (b *Builder) MergeWorkers(sinks []campaign.RunSink) error {
 			b.reachRuns[i] += w.reachRuns[i]
 		}
 	}
+	for j, fl := range b.minSDC {
+		if math.IsInf(fl, 1) {
+			// No floor has ever filtered this site, so both folds hold
+			// the same deltas.
+			b.filtered[j] = b.thresholds[j]
+		} else if m := f.below(j, fl); m > b.filtered[j] {
+			b.filtered[j] = m
+		}
+	}
+	b.round = nil
 	return nil
 }
 
@@ -268,11 +427,9 @@ type BuildOptions struct {
 	Known *Known
 }
 
-// Build runs the complete two-pass inference over a fixed sample of
-// pairs: classify every sample (pass 1), then collect propagation data
-// from the masked subset (pass 2) and aggregate it into a boundary. It
-// returns the builder (so progressive sampling can continue) and the
-// classified records.
+// Build runs the complete inference over a fixed sample of pairs: one
+// Absorb round into a new Builder. It returns the builder (so
+// progressive sampling can continue) and the classified records.
 func Build(cfg campaign.Config, pairs []campaign.Pair, opts BuildOptions) (*Builder, []campaign.Record, error) {
 	b := NewBuilder(cfg.Golden, opts.Filter)
 	recs, err := b.Absorb(cfg, pairs, opts.Known)
@@ -282,51 +439,102 @@ func Build(cfg campaign.Config, pairs []campaign.Pair, opts BuildOptions) (*Buil
 	return b, recs, nil
 }
 
-// Absorb ingests one round of samples into an existing builder: pass 1
-// classification of all pairs, then pass 2 propagation over the masked
-// subset. known may be nil. Both passes run on the campaign engine, so a
-// cfg.Observer sees two event phases per round ("classify" over all
-// pairs, then "propagate" over the masked subset) and a cancelled
-// cfg.Context aborts either pass promptly with the context's error.
+// Absorb ingests one round of samples into an existing builder in one
+// campaign pass: every pair runs once, in diff mode, with a Worker as
+// its run sink; the records then go to MergeWorkers and to known (which
+// may be nil). A cfg.Sink of the caller (a trajectory recorder) sees
+// every run too, teed with the Worker. A cfg.Observer sees one event
+// phase per round, "classify". A cancelled cfg.Context aborts the pass
+// promptly with the context's error. A cancelled or failed Absorb
+// leaves the Builder and known unchanged. Inference is defined over
+// the single-bit-flip space, so a non-default cfg.Model is an error.
 func (b *Builder) Absorb(cfg campaign.Config, pairs []campaign.Pair, known *Known) ([]campaign.Record, error) {
+	tcfg, err := cfg.NormalizedTarget()
+	if err != nil {
+		return nil, err
+	}
+	if !tcfg.Model.IsDefault() {
+		return nil, fmt.Errorf("boundary: inference is defined over the single-bit-flip space, not fault model %q", tcfg.Model)
+	}
+	b.round = newRoundFold(b.golden, b.minSDC, pairs, tcfg.Width)
+	defer func() { b.round = nil }()
+
+	// The engine builds one sink per started worker, on that worker's
+	// goroutine.
+	var (
+		mu      sync.Mutex
+		workers []campaign.RunSink
+	)
+	caller := cfg.Sink
+	cfg.Sink = func(worker int) campaign.RunSink {
+		w := b.NewWorker()
+		mu.Lock()
+		workers = append(workers, w)
+		mu.Unlock()
+		if caller != nil {
+			if s := caller(worker); s != nil {
+				return &tee{fold: w.(*Worker), next: s, golden: b.golden.Trace}
+			}
+		}
+		return w
+	}
 	recs, err := campaign.RunPairs(cfg, pairs)
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	for _, rec := range recs {
-		b.ObserveRecord(rec)
-		if known != nil {
+	if err := b.MergeWorkers(workers, recs); err != nil {
+		return nil, err
+	}
+	if known != nil {
+		for _, rec := range recs {
 			known.Add(rec)
 		}
-		if rec.Kind == outcome.Masked {
-			n++
-		}
-	}
-	masked := make([]campaign.Pair, 0, n)
-	for _, rec := range recs {
-		if rec.Kind == outcome.Masked {
-			masked = append(masked, rec.Pair)
-		}
-	}
-	// The engine builds one sink per started worker, on that worker's
-	// goroutine. The pass keeps no records: its result is the sinks.
-	var (
-		mu    sync.Mutex
-		sinks []campaign.RunSink
-	)
-	cfg.Sink = func(int) campaign.RunSink {
-		w := b.NewWorker()
-		mu.Lock()
-		sinks = append(sinks, w)
-		mu.Unlock()
-		return w
-	}
-	if err := campaign.RunPairsInPhase(cfg, masked, "propagate", nil); err != nil {
-		return nil, err
-	}
-	if err := b.MergeWorkers(sinks); err != nil {
-		return nil, err
 	}
 	return recs, nil
+}
+
+// tee hands one engine worker's runs to its fold Worker and to the
+// caller's own run sink.
+type tee struct {
+	fold   *Worker
+	next   campaign.RunSink
+	golden []float64
+}
+
+// BeginRun implements campaign.RunSink.
+func (t *tee) BeginRun(run, worker int, site int, bit uint8) {
+	t.fold.BeginRun(run, worker, site, bit)
+	t.next.BeginRun(run, worker, site, bit)
+}
+
+// Observe implements trace.DiffSink.
+func (t *tee) Observe(site int, golden, delta float64) {
+	t.fold.Observe(site, golden, delta)
+	t.next.Observe(site, golden, delta)
+}
+
+// ObserveZeroPrefix implements trace.ZeroPrefixSink, replaying the
+// prefix site by site to a caller sink that does not implement it.
+func (t *tee) ObserveZeroPrefix(n int) {
+	t.fold.ObserveZeroPrefix(n)
+	if zp, ok := t.next.(trace.ZeroPrefixSink); ok {
+		zp.ObserveZeroPrefix(n)
+		return
+	}
+	for i := range n {
+		t.next.Observe(i, t.golden[i], 0)
+	}
+}
+
+// EndRun implements campaign.RunSink.
+func (t *tee) EndRun(kind outcome.Kind, injErr, outErr float64, crashSite int) {
+	t.fold.EndRun(kind, injErr, outErr, crashSite)
+	t.next.EndRun(kind, injErr, outErr, crashSite)
+}
+
+// RecordsTrajectories implements campaign.TrajectoryRecorder: the tee
+// records what the caller's sink records.
+func (t *tee) RecordsTrajectories() bool {
+	r, ok := t.next.(campaign.TrajectoryRecorder)
+	return ok && r.RecordsTrajectories()
 }

@@ -121,9 +121,10 @@ type Config struct {
 	// worker's sink between a BeginRun/EndRun pair. A trajectory recorder
 	// (*proptrace.Recorder) records trajectories without a second
 	// campaign; Algorithm 1's fold (*boundary.Worker) raises per-site
-	// thresholds from masked runs. Records and outcome counts are
-	// identical to the sinkless path; only execution cost changes. A
-	// factory returning nil leaves that worker sinkless.
+	// thresholds from masked runs in the pass that classifies them.
+	// Records and outcome counts are identical to the sinkless path; only
+	// execution cost changes. A factory returning nil leaves that worker
+	// sinkless.
 	Sink func(worker int) RunSink
 	// Replay enables checkpointed prefix replay: a worker whose program
 	// implements trace.Snapshotter snapshots the kernel state at the
@@ -176,6 +177,17 @@ type RunSink interface {
 	trace.DiffSink
 	BeginRun(run, worker int, site int, bit uint8)
 	EndRun(kind outcome.Kind, injErr, outErr float64, crashSite int)
+}
+
+// TrajectoryRecorder is optionally implemented by a RunSink that records
+// one propagation trajectory per run it sees (*proptrace.Recorder, or a
+// sink forwarding to one). The telemetry collector counts a run as a
+// trajectory only when its worker's sink reports RecordsTrajectories; a
+// sink that folds deltas instead, like *boundary.Worker, does not
+// implement it.
+type TrajectoryRecorder interface {
+	RunSink
+	RecordsTrajectories() bool
 }
 
 func (c *Config) normalized() (Config, error) {
@@ -288,6 +300,7 @@ type pairWorker struct {
 	ctx    trace.Ctx
 	worker int
 	sink   RunSink                     // nil when the campaign streams no deltas
+	traced bool                        // sink records a trajectory per run
 	replay *replayCache                // nil when replay is off or unsupported
 	rec    *telemetry.CampaignRecorder // nil when the campaign is uncollected
 	sp     *obs.WorkerSpans            // nil-safe when the campaign records no spans
@@ -303,6 +316,9 @@ func newPairWorker(cfg Config, w int, rec *telemetry.CampaignRecorder, sp *obs.W
 	pw.ctx.SetFaultModel(cfg.Model)
 	if cfg.Sink != nil {
 		pw.sink = cfg.Sink(w)
+		if r, ok := pw.sink.(TrajectoryRecorder); ok {
+			pw.traced = r.RecordsTrajectories()
+		}
 	}
 	if cfg.Replay {
 		if s, ok := pw.p.(trace.Snapshotter); ok {
@@ -396,6 +412,9 @@ func (w *pairWorker) runChecked(cfg Config, run int, pair Pair) (Record, error) 
 			crashAt = res.CrashAt
 		}
 		w.sink.EndRun(rec.Kind, rec.InjErr, rec.OutErr, crashAt)
+		if w.traced && w.rec != nil {
+			w.rec.Traced(w.worker)
+		}
 	}
 	return rec, nil
 }
@@ -418,14 +437,10 @@ func RunPairs(cfg Config, pairs []Pair) ([]Record, error) {
 // must have len(pairs) entries, or be nil for a pass whose result lives
 // entirely in its run sinks. Cluster workers execute exhaustive-campaign
 // shards through it under the campaign's phase, instead of every remote
-// shard masquerading as "classify". Boundary inference runs its second
-// pass through it as "propagate": the masked subset of a sampled
-// campaign, with Config.Sink building Algorithm 1's per-worker
-// accumulators and no records kept. Runs of that phase feed the
-// threshold fold, not a trajectory recorder, so the telemetry collector
-// does not count them as trajectories. Which worker (and therefore which
+// shard masquerading as "classify". Which worker (and therefore which
 // sink) handles an experiment depends on scheduling; sinks whose merge
-// is a max/sum fold over the same run set merge deterministically.
+// is a max/sum fold over the same run set, like boundary inference's,
+// merge deterministically.
 func RunPairsInPhase(cfg Config, pairs []Pair, phase string, records []Record) error {
 	cfg, err := cfg.normalized()
 	if err != nil {

@@ -19,8 +19,8 @@ import (
 // monotonically non-decreasing Done and Frontier.
 type Event struct {
 	// Phase names the campaign stage emitting the event: "classify"
-	// (RunPairs), "propagate" (boundary inference's masked pass through
-	// RunPairsInPhase), or "exhaustive".
+	// (RunPairs, which boundary inference runs once per round),
+	// "exhaustive", or the phase a caller of RunPairsInPhase names.
 	Phase string
 	// Done counts completed experiments; Total is the campaign size.
 	Done, Total int
@@ -143,12 +143,10 @@ func runEngine[S any](cfg Config, phase string, n int,
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	// A sink records a trajectory per run in every phase but
-	// "propagate", whose sinks fold thresholds instead.
-	traced := cfg.Sink != nil && phase != "propagate"
+	// A traced campaign streams every run's deltas to run sinks.
 	logger.Debug("campaign start",
 		"phase", phase, "experiments", n, "workers", workers,
-		"batch", batch, "traced", traced)
+		"batch", batch, "traced", cfg.Sink != nil)
 
 	// The telemetry recorder rides alongside the Observer path: the
 	// Observer streams coarse per-batch progress events, the recorder
@@ -269,9 +267,6 @@ func runEngine[S any](cfg Config, phase string, n int,
 						now := time.Now()
 						rec.Run(w, k, now.Sub(clock))
 						clock = now
-						if traced {
-							rec.Traced(w)
-						}
 					}
 					c.Add(k)
 				}

@@ -87,11 +87,11 @@ type multiOnly struct{ trace.MultiSnapshotter }
 // stencil32 float32) plus a dense non-delta kernel, and requires every
 // combination to reproduce the vanilla ground truth byte for byte. Each
 // capability changes only where a prefix comes from or when a run is
-// allowed to stop early, never what gets classified. The propagate
-// phase holds the propagate pass to the same bar: a seeded two-pass
-// inference must merge into the same boundary.Builder state
-// (thresholds, information counts, reach) as without replay. Each wrapper must also
-// keep its hidden paths silent in the replay telemetry.
+// allowed to stop early, never what gets classified. Boundary inference
+// is held to the same bar: a seeded inference must merge into the same
+// boundary.Builder state (thresholds, information counts, reach) as
+// without replay. Each wrapper must also keep its hidden paths silent in
+// the replay telemetry.
 func TestReplayFeatureTogglesByteIdentical(t *testing.T) {
 	toggles := []struct {
 		name string
@@ -142,23 +142,22 @@ func TestReplayFeatureTogglesByteIdentical(t *testing.T) {
 					}
 				}
 				if msg := wantB.diff(inferState(t, cfg, pairs)); msg != "" {
-					t.Fatalf("%s: propagate: %s", tg.name, msg)
+					t.Fatalf("%s: inference: %s", tg.name, msg)
 				}
 			}
 		})
 	}
 }
 
-// builderState is the merged boundary.Builder state a propagate phase
+// builderState is the merged boundary.Builder state an inference
 // produces.
 type builderState struct {
 	thresholds, reach []float64
 	info              []int64
 }
 
-// inferState runs the two-pass inference (classify, then propagate over
-// the masked subset) with the §3.5 filter on, and returns the merged
-// builder state.
+// inferState runs one inference round with the §3.5 filter on and
+// returns the merged builder state.
 func inferState(t *testing.T, cfg campaign.Config, pairs []campaign.Pair) builderState {
 	t.Helper()
 	b, _, err := boundary.Build(cfg, pairs, boundary.BuildOptions{Filter: true})

@@ -152,8 +152,8 @@ func TestExhaustiveCheckpointedTracedRunIDs(t *testing.T) {
 	}
 }
 
-// TestTracedTelemetry checks the trajectory counter: traced experiments
-// count, untraced and propagation runs do not.
+// TestTracedTelemetry checks the trajectory counter: runs a trajectory
+// recorder saw count; untraced runs and runs into other sinks do not.
 func TestTracedTelemetry(t *testing.T) {
 	col := telemetry.New()
 	pairs := AllPairs(6, 4)
@@ -178,8 +178,8 @@ func TestTracedTelemetry(t *testing.T) {
 	if _, err := RunPairs(cfg2, pairs); err != nil {
 		t.Fatal(err)
 	}
-	// A propagate pass streams into its sinks but records no
-	// trajectories.
+	// A pass whose sinks record no trajectories (like boundary
+	// inference's fold) streams every run but counts none.
 	cfg3 := chainConfig(6, 1e-9, 2)
 	cfg3.Collector = col
 	runCollected(t, cfg3, pairs)

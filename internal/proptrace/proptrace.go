@@ -344,6 +344,10 @@ func (r *Recorder) EndRun(kind outcome.Kind, injErr, outErr float64, crashSite i
 	r.sink.Consume(t)
 }
 
+// RecordsTrajectories implements campaign.TrajectoryRecorder: every
+// run a Recorder sees becomes one delivered trajectory.
+func (r *Recorder) RecordsTrajectories() bool { return true }
+
 // Discard is a Sink that drops every trajectory. Useful as a recording
 // baseline in benchmarks and as a placeholder sink.
 type Discard struct{}

@@ -23,8 +23,8 @@ type Snapshot struct {
 	Campaigns   int64 `json:"campaigns"`
 	Experiments int64 `json:"experiments"`
 	// Trajectories counts experiments that also recorded a propagation
-	// trajectory (campaigns run with a run sink attached, outside the
-	// "propagate" phase, whose sinks fold thresholds instead).
+	// trajectory: runs a trajectory recorder saw, not runs that only fed
+	// boundary inference's threshold fold.
 	Trajectories int64                    `json:"trajectories"`
 	Outcomes     OutcomeCounts            `json:"outcomes"`
 	Replay       ReplayCounts             `json:"replay"`

@@ -187,8 +187,9 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(total)
 }
 
-// phaseStats aggregates one campaign phase ("exhaustive", "classify",
-// "propagate"): the outcome mix and cost of that stage of the pipeline.
+// phaseStats aggregates one campaign phase ("exhaustive", "classify", or
+// a phase a caller names): the outcome mix and cost of that stage of the
+// pipeline.
 // experiments and outcomes sit on the per-run hot path, so they stripe.
 type phaseStats struct {
 	campaigns   Counter
@@ -354,9 +355,9 @@ func (r *CampaignRecorder) Run(worker int, kind outcome.Kind, d time.Duration) {
 }
 
 // Traced records that the given worker's last completed experiment also
-// recorded a propagation trajectory (the campaign ran with a run sink
-// attached, outside the "propagate" phase). Like Run, it is a single
-// striped atomic add.
+// recorded a propagation trajectory (its run sink reports
+// campaign.TrajectoryRecorder). Like Run, it is a single striped atomic
+// add.
 func (r *CampaignRecorder) Traced(worker int) {
 	r.ph.traced.add(worker&stripeMask, 1)
 }

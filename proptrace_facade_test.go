@@ -99,10 +99,9 @@ func TestTrajectoryRoundTripThroughFacade(t *testing.T) {
 }
 
 // TestInferTrajectoryCount pins what the collector counts as a
-// trajectory when inference streams both of its passes through run
-// sinks: only runs a WithPropTrace recorder saw. The propagate pass feeds
-// Algorithm 1's fold, so it adds experiments (one per masked sample) but
-// never trajectories.
+// trajectory when inference streams every run through Algorithm 1's
+// fold: only runs a WithPropTrace recorder saw. Inference runs each
+// sample once, in the classify phase, so no propagate phase exists.
 func TestInferTrajectoryCount(t *testing.T) {
 	an, err := NewKernelAnalysis("cg", SizeTest)
 	if err != nil {
@@ -120,17 +119,15 @@ func TestInferTrajectoryCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var masked int64
-		for _, rec := range res.Records() {
-			if rec.Kind == Masked {
-				masked++
-			}
-		}
 		snap := col.Snapshot()
 		classify, propagate := snap.Phases["classify"], snap.Phases["propagate"]
-		if masked == 0 || propagate.Experiments != masked {
-			t.Errorf("traced=%v: propagate experiments = %d, want the %d masked classify records",
-				traced, propagate.Experiments, masked)
+		if propagate.Experiments != 0 {
+			t.Errorf("traced=%v: propagate experiments = %d, want 0 (one execution per sample)",
+				traced, propagate.Experiments)
+		}
+		if n := int64(len(res.Records())); classify.Experiments != n {
+			t.Errorf("traced=%v: classify experiments = %d, want one per sample (%d)",
+				traced, classify.Experiments, n)
 		}
 		if propagate.Trajectories != 0 {
 			t.Errorf("traced=%v: propagate trajectories = %d, want 0", traced, propagate.Trajectories)
@@ -145,6 +142,47 @@ func TestInferTrajectoryCount(t *testing.T) {
 		if snap.Trajectories != want {
 			t.Errorf("traced=%v: Trajectories = %d, want %d (classify runs %d)",
 				traced, snap.Trajectories, want, classify.Experiments)
+		}
+	}
+}
+
+// TestInferPropTraceMatchesRunPairs: inference records its trajectories
+// in the same pass that feeds Algorithm 1's fold, and they equal the
+// trajectories a standalone classification campaign records over the
+// same samples. Only the worker tag may differ, since scheduling
+// decides which worker runs an experiment.
+func TestInferPropTraceMatchesRunPairs(t *testing.T) {
+	an, err := NewKernelAnalysis("cg", SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inferBuf, pairsBuf := NewTrajectoryBuffer(), NewTrajectoryBuffer()
+	res, err := an.InferBoundary(InferOptions{SampleFrac: 0.05, Seed: 3}, WithPropTrace(inferBuf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]Pair, len(res.Records()))
+	for i, rec := range res.Records() {
+		pairs[i] = rec.Pair
+	}
+	if _, err := an.RunPairs(pairs, WithPropTrace(pairsBuf)); err != nil {
+		t.Fatal(err)
+	}
+	got, want := inferBuf.Trajectories(), pairsBuf.Trajectories()
+	if len(got) != len(pairs) || len(want) != len(pairs) {
+		t.Fatalf("%d inference and %d campaign trajectories for %d samples", len(got), len(want), len(pairs))
+	}
+	for i := range want {
+		got[i].Worker, want[i].Worker = 0, 0
+		var g, w bytes.Buffer
+		if err := WriteTrajectoriesJSONL(&g, got[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteTrajectoriesJSONL(&w, want[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("trajectory %d differs:\ninference %s\ncampaign  %s", i, g.Bytes(), w.Bytes())
 		}
 	}
 }
