@@ -69,7 +69,7 @@ test:
 ci: check cover examples
 
 race:
-	$(GO) test -race ./internal/campaign/... ./internal/trace/... ./internal/telemetry/... ./internal/cluster/... ./internal/store/... ./internal/obs/...
+	$(GO) test -race ./internal/campaign/... ./internal/trace/... ./internal/boundary/... ./internal/telemetry/... ./internal/cluster/... ./internal/store/... ./internal/obs/...
 
 # cover prints per-package coverage and enforces COVER_MIN on the
 # aggregate statement coverage of the internal packages.

@@ -707,6 +707,8 @@ func TestPredictorSetWidth(t *testing.T) {
 }
 
 func TestSignificantEdgeCases(t *testing.T) {
+	// The fold tests significance against the per-site floors.
+	significant := func(g, d float64) bool { return d > significanceFloor(g) }
 	if significant(1.0, 0) {
 		t.Error("zero delta significant")
 	}

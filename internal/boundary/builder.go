@@ -40,6 +40,7 @@ import (
 type Builder struct {
 	golden *trace.GoldenRun
 	filter bool
+	sig    []float64 // per-site significance floors (see significanceFloor)
 
 	thresholds []float64 // every masked delta folded
 	filtered   []float64 // only deltas at or below minSDC folded (§3.5)
@@ -57,12 +58,15 @@ type Builder struct {
 func NewBuilder(golden *trace.GoldenRun, filter bool) *Builder {
 	n := golden.Sites()
 	minSDC := make([]float64, n)
-	for i := range minSDC {
+	sig := make([]float64, n)
+	for i, g := range golden.Trace {
 		minSDC[i] = math.Inf(1)
+		sig[i] = significanceFloor(g)
 	}
 	return &Builder{
 		golden:     golden,
 		filter:     filter,
+		sig:        sig,
 		thresholds: make([]float64, n),
 		filtered:   make([]float64, n),
 		info:       make([]int64, n),
@@ -83,23 +87,38 @@ func (b *Builder) ObserveRecord(rec campaign.Record) {
 	if rec.Kind == outcome.SDC && rec.InjErr < b.minSDC[rec.Site] {
 		b.minSDC[rec.Site] = rec.InjErr
 	}
-	if significant(b.golden.Trace[rec.Site], rec.InjErr) {
+	if rec.InjErr > b.sig[rec.Site] {
 		b.info[rec.Site]++
 	}
 }
 
-// significant reports whether delta is a significant perturbation of the
-// golden value g: relative error above SignificanceRel, falling back to
-// the absolute delta when g is (near) zero.
-func significant(g, delta float64) bool {
-	if delta == 0 {
-		return false
-	}
+// significanceFloor returns the largest error that is not a significant
+// perturbation of the golden value g, so that an error d ≥ 0 (+Inf
+// included) is significant exactly when d > floor. Significant means a
+// nonzero d with d/|g| above SignificanceRel, or d itself above it where
+// g is zero. The rounded quotient d/|g| is monotone in d, so the floor
+// is SignificanceRel·|g| moved by a few ulps to the last d whose
+// quotient stays at or below SignificanceRel. No error is significant
+// against a non-finite g, which golden traces never hold.
+func significanceFloor(g float64) float64 {
 	ag := math.Abs(g)
-	if ag < math.SmallestNonzeroFloat64 {
-		return delta > SignificanceRel
+	switch {
+	case ag == 0:
+		return SignificanceRel
+	case !(ag <= math.MaxFloat64):
+		return math.Inf(1)
 	}
-	return delta/ag > SignificanceRel
+	t := SignificanceRel * ag
+	for t > 0 && t/ag > SignificanceRel {
+		t = math.Nextafter(t, 0)
+	}
+	for {
+		u := math.Nextafter(t, math.Inf(1))
+		if u/ag > SignificanceRel {
+			return t
+		}
+		t = u
+	}
 }
 
 // Info returns the per-site significant-error observation counts (the
@@ -145,16 +164,18 @@ func (b *Builder) FinalizeFilter(filter bool) *Boundary {
 
 // roundFold holds one round's candidate filter floors and the masked
 // deltas bucketed between them, for every site in one CSR layout. Site
-// j's candidates are edges[off[j]:off[j+1]], sorted ascending; bucket k
+// j's candidates are edges[off[j]:off[j+1]], sorted ascending, and
+// top[j] is the last of them (-Inf where there is none); bucket k
 // holds the float64 bits of the largest masked delta in
 // (edges[k-1], edges[k]], open below at a site's first edge. A delta
-// above a site's last candidate lies above any floor the site can end
-// the round with, so only the unfiltered fold keeps it. Workers share
-// the buckets: deltas are positive, so their bit patterns order like
-// the values, and a CAS on the bits raises a bucket's maximum.
+// above a site's top lies above any floor the site can end the round
+// with, so only the unfiltered fold keeps it. Workers share the
+// buckets: deltas are positive, so their bit patterns order like the
+// values, and a CAS on the bits raises a bucket's maximum.
 type roundFold struct {
 	off   []int
 	edges []float64
+	top   []float64
 	max   []atomic.Uint64
 }
 
@@ -203,24 +224,36 @@ func newRoundFold(golden *trace.GoldenRun, floors []float64, pairs []campaign.Pa
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
+	top := make([]float64, n)
 	for j := range n {
-		slices.Sort(edges[off[j]:off[j+1]])
+		lo, hi := off[j], off[j+1]
+		slices.Sort(edges[lo:hi])
+		top[j] = math.Inf(-1)
+		if lo < hi {
+			top[j] = edges[hi-1]
+		}
 	}
-	return &roundFold{off: off, edges: edges, max: make([]atomic.Uint64, len(edges))}
+	return &roundFold{off: off, edges: edges, top: top, max: make([]atomic.Uint64, len(edges))}
 }
 
 // bucket returns the index of site j's first candidate at or above v, or
-// -1 when v lies above all of them. A site has a handful of candidates
-// per round, so a linear scan beats a binary search.
+// -1 when v lies above all of them.
 func (f *roundFold) bucket(j int, v float64) int {
-	lo, hi := f.off[j], f.off[j+1]
-	if lo == hi || !(v <= f.edges[hi-1]) {
+	if !(v <= f.top[j]) {
 		return -1
 	}
-	for f.edges[lo] < v {
-		lo++
+	return f.scan(j, v)
+}
+
+// scan returns the index of site j's first candidate at or above
+// v ≤ top[j]. A site has a handful of candidates per round, so a linear
+// scan beats a binary search.
+func (f *roundFold) scan(j int, v float64) int {
+	k := f.off[j]
+	for f.edges[k] < v {
+		k++
 	}
-	return lo
+	return k
 }
 
 // raise lifts bucket k's maximum to the positive delta d.
@@ -251,11 +284,12 @@ func (f *roundFold) below(j int, floor float64) float64 {
 }
 
 // Worker is a per-goroutine propagation accumulator. It implements
-// campaign.RunSink: deltas observed during a run are buffered and
-// committed only if the run's final outcome is Masked, as Algorithm 1
-// requires. Worker state is private to one goroutine, apart from the
-// round's filter buckets, which all workers raise atomically;
-// MergeWorkers folds it back into the Builder.
+// campaign.RunSink and trace.SparseSink: a run's nonzero deltas are
+// listed as they arrive and committed only if the run's final outcome
+// is Masked, as Algorithm 1 requires, so a run costs what its error
+// reaches, not the trace length. Worker state is private to one
+// goroutine, apart from the round's filter buckets, which all workers
+// raise atomically; MergeWorkers folds it back into the Builder.
 type Worker struct {
 	parent *Builder
 	round  *roundFold
@@ -265,9 +299,14 @@ type Worker struct {
 	reachSum   []int64
 	reachRuns  []int64
 
-	buf  []float64 // per-run deltas, indexed by site
-	seen int       // sites observed in the current run
-	site int       // injection site of the current run
+	run  []siteDelta // the current run's nonzero deltas, in site order
+	site int         // injection site of the current run
+}
+
+// siteDelta is one nonzero propagation delta of a run.
+type siteDelta struct {
+	site  int
+	delta float64
 }
 
 // NewWorker returns a sink for one engine worker of the open round.
@@ -288,34 +327,19 @@ func (b *Builder) NewWorker() campaign.RunSink {
 		info:       make([]int64, n),
 		reachSum:   make([]int64, n),
 		reachRuns:  make([]int64, n),
-		buf:        make([]float64, n),
 	}
 }
 
 // BeginRun implements campaign.RunSink.
-func (w *Worker) BeginRun(_, _ int, site int, _ uint8) { w.seen, w.site = 0, site }
+func (w *Worker) BeginRun(_, _ int, site int, _ uint8) { w.run, w.site = w.run[:0], site }
 
-// Observe implements trace.DiffSink. Sites arrive in execution order
-// (0, 1, 2, ...), so the buffer prefix [0, seen) is the current run.
-func (w *Worker) Observe(site int, golden, delta float64) {
-	if site < len(w.buf) {
-		w.buf[site] = delta
-		if site >= w.seen {
-			w.seen = site + 1
-		}
-	}
+// Observe implements trace.DiffSink.
+func (w *Worker) Observe(site int, _, delta float64) {
+	w.run = append(w.run, siteDelta{site, delta})
 }
 
-// ObserveZeroPrefix implements trace.ZeroPrefixSink: a run resumed from
-// a golden-prefix snapshot reports its skipped prefix as zeros in one
-// call.
-func (w *Worker) ObserveZeroPrefix(n int) {
-	n = min(n, len(w.buf))
-	clear(w.buf[:n])
-	if n > w.seen {
-		w.seen = n
-	}
-}
+// SparseDeltas implements trace.SparseSink.
+func (w *Worker) SparseDeltas() {}
 
 // EndRun implements campaign.RunSink: commit the run's deltas if it was
 // masked, to the unfiltered thresholds and to the round's filter
@@ -324,14 +348,11 @@ func (w *Worker) EndRun(kind outcome.Kind, _, _ float64, _ int) {
 	if kind != outcome.Masked {
 		return
 	}
-	g := w.parent.golden.Trace
+	sig, f := w.parent.sig, w.round
 	var reach int64
-	for j := 0; j < w.seen; j++ {
-		d := w.buf[j]
-		if d == 0 {
-			continue
-		}
-		if significant(g[j], d) {
+	for _, e := range w.run {
+		j, d := e.site, e.delta
+		if d > sig[j] {
 			w.info[j]++
 			if j != w.site {
 				reach++
@@ -340,8 +361,8 @@ func (w *Worker) EndRun(kind outcome.Kind, _, _ float64, _ int) {
 		if d > w.thresholds[j] {
 			w.thresholds[j] = d
 		}
-		if k := w.round.bucket(j, d); k >= 0 {
-			w.round.raise(k, d)
+		if d <= f.top[j] {
+			f.raise(f.scan(j, d), d)
 		}
 	}
 	w.reachSum[w.site] += reach
@@ -473,7 +494,7 @@ func (b *Builder) Absorb(cfg campaign.Config, pairs []campaign.Pair, known *Know
 		mu.Unlock()
 		if caller != nil {
 			if s := caller(worker); s != nil {
-				return &tee{fold: w.(*Worker), next: s, golden: b.golden.Trace}
+				return &tee{fold: w.(*Worker), next: s}
 			}
 		}
 		return w
@@ -494,11 +515,11 @@ func (b *Builder) Absorb(cfg campaign.Config, pairs []campaign.Pair, known *Know
 }
 
 // tee hands one engine worker's runs to its fold Worker and to the
-// caller's own run sink.
+// caller's own run sink. It is a dense sink, so the caller's sink keeps
+// the full delta stream; the fold gets only the nonzero deltas.
 type tee struct {
-	fold   *Worker
-	next   campaign.RunSink
-	golden []float64
+	fold *Worker
+	next campaign.RunSink
 }
 
 // BeginRun implements campaign.RunSink.
@@ -509,21 +530,10 @@ func (t *tee) BeginRun(run, worker int, site int, bit uint8) {
 
 // Observe implements trace.DiffSink.
 func (t *tee) Observe(site int, golden, delta float64) {
-	t.fold.Observe(site, golden, delta)
+	if delta != 0 {
+		t.fold.Observe(site, golden, delta)
+	}
 	t.next.Observe(site, golden, delta)
-}
-
-// ObserveZeroPrefix implements trace.ZeroPrefixSink, replaying the
-// prefix site by site to a caller sink that does not implement it.
-func (t *tee) ObserveZeroPrefix(n int) {
-	t.fold.ObserveZeroPrefix(n)
-	if zp, ok := t.next.(trace.ZeroPrefixSink); ok {
-		zp.ObserveZeroPrefix(n)
-		return
-	}
-	for i := range n {
-		t.next.Observe(i, t.golden[i], 0)
-	}
 }
 
 // EndRun implements campaign.RunSink.

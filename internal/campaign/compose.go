@@ -144,9 +144,9 @@ func (s *boundarySink) Observe(_ int, _, delta float64) {
 	}
 }
 
-// ObserveZeroPrefix implements trace.ZeroPrefixSink: the max of zeros
-// changes nothing.
-func (s *boundarySink) ObserveZeroPrefix(int) {}
+// SparseDeltas implements trace.SparseSink: the max of zeros changes
+// nothing.
+func (s *boundarySink) SparseDeltas() {}
 
 // calibAggregator rides a full calibration run's diff stream and records
 // the running-max deviation at every section boundary.

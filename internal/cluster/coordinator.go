@@ -596,7 +596,7 @@ func (wc *workerClient) run(ctx context.Context, rr runRequest) (*runResponse, e
 		return nil, fmt.Errorf("run: status %s", resp.Status)
 	}
 	var rres runResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rres); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRunResponseBytes)).Decode(&rres); err != nil {
 		return nil, fmt.Errorf("run: decode: %w", err)
 	}
 	return &rres, nil

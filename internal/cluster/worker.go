@@ -29,6 +29,14 @@ const ListeningPrefix = "ftb-worker-listening "
 // hostile coordinator cannot make one lease allocate the whole campaign.
 const maxLeaseExperiments = 1 << 22
 
+// maxRunResponseBytes bounds the coordinator's decode of one /v1/run
+// response, so a buggy or hostile worker cannot make it buffer without
+// limit: the base64 outcome bytes of a lease of maxLeaseExperiments,
+// plus 64 MiB for the shard's telemetry snapshot and span timeline (a
+// lease's span recorder holds at most ~135k spans, each a few hundred
+// bytes of JSON).
+const maxRunResponseBytes = 4*(maxLeaseExperiments+2)/3 + 64<<20
+
 // WorkerConfig describes the one program a worker serves injections for.
 type WorkerConfig struct {
 	// Factory creates independent program instances (one per engine

@@ -37,7 +37,8 @@ const (
 	// (also a tail run, which injects nothing).
 	ModeInject
 	// ModeInjectDiff injects like ModeInject, reports |golden − corrupted|
-	// for every site to a DiffSink, and pauses at a truncation boundary.
+	// for every site to a DiffSink (every nonzero one to a SparseSink),
+	// and pauses at a truncation boundary.
 	ModeInjectDiff
 	// modeAdvance re-executes the golden prefix up to a store boundary
 	// and pauses there, so a Snapshotter can checkpoint (see Advance).
@@ -52,20 +53,22 @@ const (
 // DiffSink consumes per-site propagation errors during a diff run (a Plan
 // with a Sink). Observe is called once per dynamic instruction, in
 // execution order, with the golden value of the site and the absolute
-// difference between golden and fault-injected runs at that site.
+// difference between golden and fault-injected runs at that site (see
+// SparseSink for a sink that skips the zero differences).
 type DiffSink interface {
 	Observe(site int, golden, delta float64)
 }
 
-// ZeroPrefixSink is optionally implemented by DiffSinks that can absorb
-// a run of leading zero deltas in one call. A resumed diff run skips a
-// golden prefix whose deltas are zero by construction; sinks that
-// implement ZeroPrefixSink receive a single ObserveZeroPrefix(n) —
-// equivalent to Observe(i, golden[i], 0) for each i in [0, n) — instead
-// of n individual calls.
-type ZeroPrefixSink interface {
+// SparseSink is optionally implemented by DiffSinks that need only the
+// nonzero deltas. A diff run hands such a sink no zero delta at all:
+// neither the golden prefix a resumed run skips nor a live store that
+// matches its golden value. Observe then sees exactly the dense stream
+// with its zero entries removed, in execution order. Run resolves the
+// contract once per plan; a plain DiffSink keeps the dense stream.
+type SparseSink interface {
 	DiffSink
-	ObserveZeroPrefix(n int)
+	// SparseDeltas is never called: implementing it opts the sink in.
+	SparseDeltas()
 }
 
 // Program is an instrumented benchmark kernel. Run must perform the exact
@@ -124,6 +127,10 @@ type Ctx struct {
 	// windows slide it forward by convStep without pausing.
 	convStep  int  // probe-boundary spacing while the window stays dirty
 	convDirty bool // a store deviated from golden since the last boundary
+
+	// Diff mode: drop zero deltas before they reach a SparseSink. (Kept
+	// last, in convDirty's padding, so no other field moves.)
+	sparse bool
 }
 
 // SetFaultModel installs the perturbation applied at injection sites. The
@@ -201,7 +208,9 @@ func (c *Ctx) Store(v float64) float64 {
 			if d < 0 {
 				d = -d
 			}
-			c.sink.Observe(i, g, d)
+			if !c.sparse || d != 0 {
+				c.sink.Observe(i, g, d)
+			}
 		}
 		return v
 	case modeAdvance:
@@ -280,7 +289,9 @@ func (c *Ctx) Store32(v float32) float32 {
 			if d < 0 {
 				d = -d
 			}
-			c.sink.Observe(i, g, d)
+			if !c.sparse || d != 0 {
+				c.sink.Observe(i, g, d)
+			}
 		}
 		return v
 	case modeAdvance:
@@ -419,9 +430,9 @@ type Plan struct {
 	Until int
 	// Sink, when non-nil, receives |golden − corrupted| for every site
 	// from 0 in execution order: a resumed run first replays the prefix
-	// [0, Resume) as zero deltas, in one ObserveZeroPrefix call when the
-	// sink implements ZeroPrefixSink. On a crash the sink has observed
-	// every site before the crashing store.
+	// [0, Resume) as zero deltas. A SparseSink receives only the nonzero
+	// deltas, so no prefix at all. On a crash the sink has observed every
+	// site before the crashing store.
 	Sink DiffSink
 	// Converge, when its StateAt is set, arms the reconvergence early
 	// exit. It excludes Sink and Until.
@@ -479,7 +490,8 @@ func (c *Ctx) arm(golden *GoldenRun, pl Plan) {
 		if pl.Until > 0 && pl.Until <= pl.Site {
 			panic(fmt.Sprintf("trace: truncation boundary %d does not cover injection site %d", pl.Until, pl.Site))
 		}
-		c.mode, c.ref, c.sink, c.pauseAt = ModeInjectDiff, golden.Trace, pl.Sink, pl.Until
+		_, sparse := pl.Sink.(SparseSink)
+		c.mode, c.ref, c.sink, c.sparse, c.pauseAt = ModeInjectDiff, golden.Trace, pl.Sink, sparse, pl.Until
 	case pl.Until > 0:
 		panic("trace: truncation (Until) requires a Sink")
 	}
@@ -530,14 +542,9 @@ func Run(ctx *Ctx, p Program, golden *GoldenRun, pl Plan) (InjectResult, error) 
 		}
 	}
 	ctx.arm(golden, pl)
-	if pl.Sink != nil && pl.Resume > 0 {
-		n := min(pl.Resume, len(golden.Trace))
-		if zp, ok := pl.Sink.(ZeroPrefixSink); ok {
-			zp.ObserveZeroPrefix(n)
-		} else {
-			for i := 0; i < n; i++ {
-				pl.Sink.Observe(i, golden.Trace[i], 0)
-			}
+	if pl.Sink != nil && !ctx.sparse {
+		for i := range min(pl.Resume, len(golden.Trace)) {
+			pl.Sink.Observe(i, golden.Trace[i], 0)
 		}
 	}
 	step, probes := pl.Converge.Step, 0

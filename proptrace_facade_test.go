@@ -2,6 +2,7 @@ package ftb
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -102,12 +103,14 @@ func TestTrajectoryRoundTripThroughFacade(t *testing.T) {
 // trajectory when inference streams every run through Algorithm 1's
 // fold: only runs a WithPropTrace recorder saw. Inference runs each
 // sample once, in the classify phase, so no propagate phase exists.
+// Recording changes nothing the fold infers.
 func TestInferTrajectoryCount(t *testing.T) {
 	an, err := NewKernelAnalysis("cg", SizeTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := InferOptions{SampleFrac: 0.05, Seed: 7}
+	var untraced []float64
 	for _, traced := range []bool{false, true} {
 		col := NewCollector()
 		run := []RunOption{WithCollector(col)}
@@ -118,6 +121,11 @@ func TestInferTrajectoryCount(t *testing.T) {
 		res, err := an.InferBoundary(opts, run...)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if th := res.Boundary().Thresholds; !traced {
+			untraced = th
+		} else if !slices.Equal(th, untraced) {
+			t.Error("recording trajectories changed the inferred boundary")
 		}
 		snap := col.Snapshot()
 		classify, propagate := snap.Phases["classify"], snap.Phases["propagate"]
